@@ -135,10 +135,11 @@ def open_array(
 def connect(addr, timeout: float = 30.0, retries: int = 0, backoff: float = 0.05):
     """Connect to a read daemon (``repro serve``) at ``"host:port"``.
 
-    Returns a :class:`repro.serve.RemoteStore` whose surface mirrors the
-    read side of a local store: ``remote[field, step]`` is a lazy
-    :class:`~repro.serve.RemoteArray` view, indexing round-trips through the
-    daemon's shared block cache, and errors keep their local types.  The
+    Returns a :class:`repro.serve.RemoteStore`, the read side of a local
+    store: ``remote[field, step]`` is a :class:`~repro.serve.RemoteArray` —
+    the same :class:`repro.array.LazyArray` a local store returns, its reads
+    round-tripping through the daemon's shared block cache and coming back
+    as read-only arrays — and errors keep their local types.  The
     address may equally be a shard router (``repro shard serve``) — the
     wire surface is identical.  ``retries``/``backoff`` add bounded
     exponential-backoff retry on connection refusal, for clients racing a
@@ -152,12 +153,13 @@ def connect(addr, timeout: float = 30.0, retries: int = 0, backoff: float = 0.05
 def open_http(addr, timeout: float = 30.0):
     """Connect to an HTTP gateway (``repro gateway``) at ``"host:port"``.
 
-    Returns a :class:`repro.gateway.HTTPStore` — the same lazy remote-array
-    surface as :func:`connect`, over plain HTTP/1.1, so it works through
-    anything that forwards HTTP.  ``store[field, step]`` is a lazy
-    :class:`~repro.gateway.HTTPArray`; indexing moves raw ndarray bytes with
-    the geometry in response headers, and error envelopes re-raise with
-    their original types and messages.
+    Returns a :class:`repro.gateway.HTTPStore` — what :func:`connect`
+    returns, over plain HTTP/1.1, so it works through anything that forwards
+    HTTP.  ``store[field, step]`` is a :class:`~repro.gateway.HTTPArray`
+    (the same :class:`repro.array.LazyArray` again); indexing moves raw
+    ndarray bytes with the geometry in response headers, error envelopes
+    re-raise with their original types and messages, and a reply that is
+    not the gateway's is a :class:`~repro.serve.ProtocolError`.
     """
     from repro.gateway import HTTPStore
 

@@ -11,10 +11,12 @@ returns a view; indexing triggers I/O::
 
 Three pieces:
 
-* :class:`CompressedArray` (:mod:`repro.array.core`) — the view: ndarray-style
+* :class:`LazyArray` (:mod:`repro.array.core`) — the view: ndarray-style
   metadata (``shape``/``dtype``/``ndim``), ``levels`` + ``.level(k)`` for
-  multi-resolution data, and ``__getitem__`` over the basic-indexing subset
-  (ints, slices with steps, ``...``), decoding **only intersecting blocks**;
+  multi-resolution data, ``__getitem__`` over the basic-indexing subset
+  (ints, slices with steps, ``...``), ``read_roi`` and ``stats``, written
+  once; :class:`CompressedArray` is its local family, decoding **only
+  intersecting blocks**;
 * :mod:`repro.array.indexing` — the pure compiler from index expressions to
   the bbox/block arithmetic of :mod:`repro.store.query`;
 * :class:`BlockCache` (:mod:`repro.array.cache`) — a bounded, instrumented
@@ -23,15 +25,18 @@ Three pieces:
 Every classic read path is an adapter over this surface:
 ``Store.read_roi`` / ``ContainerReader.read_roi`` delegate to views,
 ``repro.decompress`` returns one, and the vis helpers accept them.  A view
-query (source token, level, compiled index) is exactly the request shape the
-read daemon (:mod:`repro.serve`) ships over its wire protocol, which is why
-:class:`repro.serve.RemoteArray` can mirror this surface one-to-one.
+query (field, step, level, selector) is exactly the request shape the read
+daemon (:mod:`repro.serve`) ships over its wire protocol, so
+:class:`repro.serve.RemoteArray` and :class:`repro.gateway.HTTPArray` *are*
+this surface: they subclass :class:`LazyArray` and add only how a selector
+travels and how the bytes come back.
 """
 
 from repro.array.cache import BlockCache
 from repro.array.core import (
     CompressedArray,
     ContainerSource,
+    LazyArray,
     SingleBlockSource,
     as_lazy_array,
     open_array,
@@ -39,6 +44,7 @@ from repro.array.core import (
 from repro.array.indexing import CompiledIndex, compile_index
 
 __all__ = [
+    "LazyArray",
     "CompressedArray",
     "BlockCache",
     "ContainerSource",

@@ -1,15 +1,31 @@
-"""``CompressedArray``: a lazy, NumPy-style view over block-compressed data.
+"""``LazyArray``: the lazy, NumPy-style read surface, written once.
 
-Opening a view costs two small reads (header + index); data moves only when
-the view is indexed.  ``__getitem__`` compiles the index expression
-(:mod:`repro.array.indexing`) into the same bbox/block arithmetic every store
-query uses (:mod:`repro.store.query`), decodes **only the intersecting
-blocks** — batched through the container's
+Opening a view costs two small reads (header + index) or one ``describe``
+round trip; data moves only when the view is indexed.  :class:`LazyArray`
+owns every member of that surface — ``shape``/``dtype``/``ndim``/``size``,
+``len()``, ``levels``/``level_index``/``level(k)``, ``n_blocks``, indexing,
+``read_roi``, ``numpy.asarray`` and the ``stats`` accounting — and asks a
+subclass for exactly two things:
+
+* the **level geometry**, handed to the constructor as
+  ``{level: (shape, n_blocks)}`` (read off a container index, or off the one
+  ``describe`` reply — :func:`describe_geometry`);
+* ``_read(kind, selector) -> (ndarray, accounting)``, where ``kind`` is
+  ``"index"`` (a raw index expression) or ``"bbox"`` (a bbox already clamped
+  to the level) and ``accounting`` reports ``blocks_touched`` /
+  ``blocks_decoded`` / ``cache_hits`` for that one read.
+
+:class:`CompressedArray` is the local family: its ``_read`` compiles the
+index expression (:mod:`repro.array.indexing`) into the same bbox/block
+arithmetic every store query uses (:mod:`repro.store.query`), decodes **only
+the intersecting blocks** — batched through the container's
 :class:`~repro.store.engine.CodecEngine` when one is attached — and pastes
 them into the result, consulting a bounded
-:class:`~repro.array.cache.BlockCache` so revisited blocks decode once.
+:class:`~repro.array.cache.BlockCache` so revisited blocks decode once.  The
+served families (:mod:`repro.serve`, :mod:`repro.gateway`) ship the selector
+instead, and the daemon at the far end hands it to a :class:`CompressedArray`.
 
-The view is source-agnostic: a :class:`ContainerSource` serves ``.rps2``
+The local view is source-agnostic: a :class:`ContainerSource` serves ``.rps2``
 block containers (and, via :class:`repro.store.Store`, whole stores), while a
 :class:`SingleBlockSource` wraps one compressed blob or an already-decoded
 ndarray as a single whole-domain block, so facade reconstructions share the
@@ -19,25 +35,21 @@ view decodes from.
 
 Block sources implement a small duck-typed protocol::
 
-    levels               -> tuple of available level indices
-    level_shape(level)   -> cell-space shape of one level
+    geometry             -> {level: (cell-space shape, occupied block count)}
     unit_size(level)     -> unit block edge length of one level
-    n_blocks(level)      -> occupied block count of one level
     intersecting(level, block_range) -> (handles, coords) of occupied blocks
     decode(level, handles)           -> list of decoded block arrays
     decode_into(level, handles, outs, srcs) -> decode straight into views
     token                -> hashable namespace for cache keys
     stats                -> dict of decode counters
-
-which is exactly the request shape the read daemon (:mod:`repro.serve`)
-serialises — its per-request accounting wraps this protocol unchanged.
 """
 
 from __future__ import annotations
 
 import time
+from copy import copy as _clone
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -67,12 +79,19 @@ _BLOCKS_HIT = _READ_BLOCKS.labels(outcome="hit")
 _BLOCKS_DECODED = _READ_BLOCKS.labels(outcome="decoded")
 
 __all__ = [
+    "LazyArray",
     "CompressedArray",
     "ContainerSource",
     "SingleBlockSource",
     "as_lazy_array",
+    "describe_geometry",
     "open_array",
 ]
+
+
+#: ``{level: (cell-space shape, occupied block count)}`` — all a view knows
+#: about its data before the first read.
+Geometry = Mapping[int, Tuple[Tuple[int, ...], int]]
 
 
 class ContainerSource:
@@ -88,17 +107,14 @@ class ContainerSource:
         self.token = str(reader.path)
 
     @property
-    def levels(self) -> Tuple[int, ...]:
-        return tuple(info.level for info in self.reader.levels)
-
-    def level_shape(self, level: int) -> Tuple[int, ...]:
-        return self.reader.level_info(level).level_shape
+    def geometry(self) -> Geometry:
+        return {
+            info.level: (tuple(info.level_shape), info.n_blocks)
+            for info in self.reader.levels
+        }
 
     def unit_size(self, level: int) -> int:
         return self.reader.level_info(level).unit_size
-
-    def n_blocks(self, level: int) -> int:
-        return self.reader.level_info(level).n_blocks
 
     def intersecting(
         self, level: int, block_range: Optional[BBox] = None
@@ -154,17 +170,11 @@ class SingleBlockSource:
         return cls(np.asarray(data).shape, decoded=data)
 
     @property
-    def levels(self) -> Tuple[int, ...]:
-        return (0,)
-
-    def level_shape(self, level: int) -> Tuple[int, ...]:
-        return self._shape
+    def geometry(self) -> Geometry:
+        return {0: (self._shape, 1)}
 
     def unit_size(self, level: int) -> int:
         return max(1, *self._shape) if self._shape else 1
-
-    def n_blocks(self, level: int) -> int:
-        return 1
 
     def intersecting(
         self, level: int, block_range: Optional[BBox] = None
@@ -244,44 +254,78 @@ class _PasteSources:
         return None if self._full[i] else bounds_to_slices(self._bounds[i])
 
 
-class CompressedArray:
-    """Lazy, NumPy-style read view over one level of a block source.
+def describe_geometry(described: Mapping[str, Any]) -> Geometry:
+    """The level geometry carried by a daemon's container ``describe`` reply."""
+    return {
+        int(lvl["level"]): (
+            tuple(int(s) for s in lvl["level_shape"]),
+            int(lvl["n_blocks"]),
+        )
+        for lvl in sorted(described.get("levels", []), key=lambda lvl: int(lvl["level"]))
+    }
+
+
+#: What every read reports and every view's ``stats`` accumulates.
+ACCOUNTING_KEYS = ("blocks_touched", "blocks_decoded", "cache_hits")
+
+
+class LazyArray:
+    """Lazy, NumPy-style read view over one level of multi-resolution data.
 
     Attributes mirror an ndarray (``shape``, ``dtype``, ``ndim``, ``size``);
     ``levels`` lists the available resolution levels and :meth:`level` returns
-    a sibling view of another level sharing the source and cache.  Indexing
-    with the basic-indexing subset (ints, slices with steps, ``...``)
-    materialises exactly the selection; ``numpy.asarray(view)`` (via
-    ``__array__``) materialises the whole level.
+    a sibling view of another level.  Indexing with the basic-indexing subset
+    (ints, slices with steps, ``...``) materialises exactly the selection;
+    ``numpy.asarray(view)`` (via ``__array__``) materialises the whole level.
 
     Cells of the level's domain not covered by any occupied block (they belong
     to other levels of an AMR hierarchy) read as ``fill_value``.
+
+    Subclasses pass the level geometry to ``__init__`` and implement
+    :meth:`_read`; everything else — here — is the same for a local container,
+    a socket and an HTTP gateway.
     """
 
+    #: ``"<what> via <where>, "`` for views that are not over local data.
+    _origin = ""
+
     def __init__(
-        self,
-        source,
-        level: Optional[int] = None,
-        fill_value: float = 0.0,
-        cache: Optional[BlockCache] = None,
+        self, geometry: Geometry, level: Optional[int] = None, fill_value: float = 0.0
     ) -> None:
-        self._source = source
-        self._level = int(source.levels[0] if level is None else level)
-        if self._level not in source.levels:
-            raise KeyError(
-                f"no level {self._level}; available: {sorted(source.levels)}"
-            )
+        self._geometry = geometry
         self.fill_value = float(fill_value)
-        self.cache = cache
+        self._select_level(next(iter(geometry), 0) if level is None else level)
+
+    def _select_level(self, level: int) -> None:
+        self._level = int(level)
+        if self._level not in self._geometry:
+            raise KeyError(
+                f"no level {self._level}; available: {sorted(self._geometry)}"
+            )
+        self._counts = dict.fromkeys(("requests",) + ACCOUNTING_KEYS, 0)
+
+    def _read(self, kind: str, selector) -> Tuple[np.ndarray, Mapping[str, int]]:
+        """Materialise one selection of the viewed level.
+
+        ``kind`` is ``"index"`` (``selector`` is the raw index expression;
+        negative numbers count from the end) or ``"bbox"`` (``selector`` is a
+        bbox already clamped by :func:`~repro.store.query.normalize_bbox`).
+        Returns the array and that read's ``blocks_touched`` /
+        ``blocks_decoded`` / ``cache_hits``.
+        """
+        raise NotImplementedError
+
+    def _account(self, result: np.ndarray, accounting: Mapping[str, int]) -> np.ndarray:
+        counts = self._counts
+        counts["requests"] += 1
+        for key in ACCOUNTING_KEYS:
+            counts[key] += int(accounting.get(key, 0))
+        return result
 
     # -- ndarray-style metadata -----------------------------------------------
     @property
-    def source(self):
-        return self._source
-
-    @property
     def shape(self) -> Tuple[int, ...]:
-        return tuple(self._source.level_shape(self._level))
+        return self._geometry[self._level][0]
 
     @property
     def dtype(self) -> np.dtype:
@@ -304,28 +348,33 @@ class CompressedArray:
     @property
     def levels(self) -> Tuple[int, ...]:
         """Available resolution level indices, finest first."""
-        return tuple(self._source.levels)
+        return tuple(self._geometry)
 
     @property
     def level_index(self) -> int:
         return self._level
 
-    def level(self, k: int) -> "CompressedArray":
-        """Sibling view of level ``k`` sharing the source and block cache."""
-        return CompressedArray(
-            self._source, level=k, fill_value=self.fill_value, cache=self.cache
-        )
+    def level(self, k: int) -> "LazyArray":
+        """Sibling view of level ``k``.
+
+        Shares everything with this view — geometry, data source or
+        connection, block cache — so it costs no I/O and no round trip; only
+        its read accounting starts from zero.
+        """
+        sibling = _clone(self)
+        sibling._select_level(k)
+        return sibling
 
     @property
     def n_blocks(self) -> int:
         """Occupied blocks of the viewed level."""
-        return int(self._source.n_blocks(self._level))
+        return self._geometry[self._level][1]
 
     # -- reading ----------------------------------------------------------------
-    def __getitem__(self, index):
-        compiled = compile_index(index, self.shape)
-        bbox = normalize_bbox(compiled.bbox, self.shape)
-        return self._read_bbox(bbox)[compiled.rel]
+    def __getitem__(self, index) -> Any:
+        result = self._account(*self._read("index", index))
+        # A fully-scalar selection is a NumPy scalar, never a 0-d array.
+        return result[()] if result.shape == () else result
 
     def read_roi(self, bbox: Sequence[Sequence[int]]) -> np.ndarray:
         """Decode a clamped cell-space bbox (the classic ``read_roi`` contract).
@@ -333,9 +382,68 @@ class CompressedArray:
         Unlike ``__getitem__`` — where negative numbers index from the end —
         a bbox is clamped to the domain, so ``((-5, 8), ...)`` reads ``[0, 8)``.
         """
-        return self._read_bbox(normalize_bbox(bbox, self.shape))
+        return self._account(*self._read("bbox", normalize_bbox(bbox, self.shape)))
 
-    def _read_bbox(self, bbox: BBox) -> np.ndarray:
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = np.asarray(self[...])
+        if dtype is not None:
+            out = out.astype(dtype, copy=False)
+        return out
+
+    # -- introspection -----------------------------------------------------------
+    @property
+    def stats(self) -> Dict[str, int]:
+        """What reading through this view has cost: ``requests`` plus the
+        ``blocks_touched`` / ``blocks_decoded`` / ``cache_hits`` each read
+        reported."""
+        return self._counts
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}({self._origin}shape={self.shape}, "
+            f"dtype={self.dtype}, level={self._level} of {list(self.levels)}, "
+            f"blocks={self.n_blocks}, fill_value={self.fill_value})"
+        )
+
+
+class CompressedArray(LazyArray):
+    """The local :class:`LazyArray`: reads decode blocks of a block source.
+
+    Sibling :meth:`~LazyArray.level` views share the source and the block
+    cache.  Results are fresh writable arrays.
+    """
+
+    def __init__(
+        self,
+        source,
+        level: Optional[int] = None,
+        fill_value: float = 0.0,
+        cache: Optional[BlockCache] = None,
+    ) -> None:
+        self._source = source
+        self.cache = cache
+        super().__init__(source.geometry, level, fill_value)
+
+    @property
+    def source(self):
+        return self._source
+
+    def _read(self, kind: str, selector) -> Tuple[np.ndarray, Dict[str, int]]:
+        """Decode one selection.  Also the receiving end of a served read:
+        the read daemon hands the selector it was shipped straight to this."""
+        rel = None
+        if kind == "index":
+            compiled = compile_index(selector, self.shape)
+            selector, rel = normalize_bbox(compiled.bbox, self.shape), compiled.rel
+        out, touched, decoded = self._read_bbox(selector)
+        return (out if rel is None else out[rel]), {
+            "blocks_touched": touched,
+            "blocks_decoded": decoded,
+            "cache_hits": touched - decoded,
+        }
+
+    def _read_bbox(self, bbox: BBox) -> Tuple[np.ndarray, int, int]:
+        """``(array, blocks touched, blocks decoded)`` for one clamped bbox."""
         start = time.perf_counter()
         source = self._source
         unit = source.unit_size(self._level)
@@ -348,7 +456,7 @@ class CompressedArray:
         n = len(handles)
         if not n:
             _READ_SECONDS.observe(time.perf_counter() - start)
-            return out
+            return out, 0, 0
         # Plan every paste in a handful of vectorised calls (no per-block
         # Python arithmetic), then decode straight into the output windows:
         # fully-covered blocks reconstruct in place, edge blocks paste only
@@ -360,7 +468,7 @@ class CompressedArray:
             source.decode_into(self._level, handles, dsts, srcs)
             _BLOCKS_DECODED.inc(n)
             _READ_SECONDS.observe(time.perf_counter() - start)
-            return out
+            return out, n, n
         token, level = source.token, self._level
         coords_list = coords.tolist()
         missing = []
@@ -386,29 +494,19 @@ class CompressedArray:
         _BLOCKS_HIT.inc(n - len(missing))
         _BLOCKS_DECODED.inc(len(missing))
         _READ_SECONDS.observe(time.perf_counter() - start)
-        return out
+        return out, n, len(missing)
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        out = self[...] if self.ndim else self._read_bbox(())
-        if dtype is not None:
-            out = out.astype(dtype, copy=False)
-        return out
-
-    # -- introspection -----------------------------------------------------------
     @property
     def stats(self) -> Dict[str, int]:
-        """Decode + cache counters: source stats plus ``cache_*`` entries."""
-        merged = dict(self._source.stats)
+        """This view's ``requests``/``blocks_touched`` under the *lifetime*
+        counters of what it reads through: the source's decode stats and the
+        block cache's ``cache_*`` entries, both shared with every other view
+        of the same reader or cache."""
+        merged = dict(super().stats)
+        merged.update(self._source.stats)
         if self.cache is not None:
             merged.update({f"cache_{k}": v for k, v in self.cache.stats.items()})
         return merged
-
-    def __repr__(self) -> str:
-        return (
-            f"CompressedArray(shape={self.shape}, dtype={self.dtype}, "
-            f"level={self._level} of {list(self.levels)}, "
-            f"blocks={self.n_blocks}, fill_value={self.fill_value})"
-        )
 
 
 def open_array(
@@ -435,7 +533,7 @@ def open_array(
     )
 
 
-def as_lazy_array(obj, fill_value: float = 0.0) -> CompressedArray:
+def as_lazy_array(obj, fill_value: float = 0.0) -> LazyArray:
     """Wrap any read-side object as a lazy view.
 
     Accepts an existing view (returned unchanged), a
@@ -444,7 +542,7 @@ def as_lazy_array(obj, fill_value: float = 0.0) -> CompressedArray:
     """
     from repro.compressors.base import CompressedArray as CompressedPayload
 
-    if isinstance(obj, CompressedArray):
+    if isinstance(obj, LazyArray):
         return obj
     if isinstance(obj, CompressedPayload):
         return CompressedArray(

@@ -5,9 +5,8 @@
 - ``mutable-default``: ``def f(x=[])`` / ``={}`` / ``=set()`` — the default is
   shared across calls.
 - ``deprecated-api``: the pre-PR 2 surface — ``relative=`` on compress-side
-  calls (replaced by :class:`repro.api.ErrorBound` modes) and ``.read_level``
-  (replaced by lazy views).  Internal adapters keep them alive deliberately
-  and carry ``# repro: ignore[deprecated-api]``.
+  calls (replaced by :class:`repro.api.ErrorBound` modes).  Internal adapters
+  keep it alive deliberately and carry ``# repro: ignore[deprecated-api]``.
 - ``unclosed-resource``: ``open``/``mmap.mmap``/``socket.socket``/
   ``socket.create_connection`` results that provably leak.  Deliberately
   conservative: a resource assigned to ``self.<attr>`` (ownership moved to
@@ -78,7 +77,7 @@ class MutableDefaultRule(Rule):
 
 class DeprecatedApiRule(Rule):
     id = "deprecated-api"
-    help = "pre-PR 2 surface: relative= on compress calls, .read_level()"
+    help = "pre-PR 2 surface: relative= on compress calls"
 
     node_types = (ast.Call,)
 
@@ -96,13 +95,6 @@ class DeprecatedApiRule(Rule):
             else func.attr if isinstance(func, ast.Attribute)
             else None
         )
-        if callee == "read_level":
-            ctx.report(
-                node,
-                "'.read_level()' is the deprecated eager-read surface; use a "
-                "lazy view (store.array / container view) instead",
-            )
-            return
         if callee in self._RELATIVE_CALLEES:
             for kw in node.keywords:
                 if kw.arg == "relative":

@@ -13,7 +13,8 @@ that gap with nothing beyond the stdlib:
   ``/catalog``, ``/fields/{field}``, ``/read/{field}/{step}`` and
   ``/stats`` (JSON or ``?format=prom``);
 * :class:`HTTPStore` / :class:`HTTPArray` (:mod:`repro.gateway.client`) —
-  the familiar lazy remote-array surface, over HTTP;
+  the socket client's :class:`~repro.serve.client.CatalogClient` and
+  :class:`repro.array.LazyArray`, with a GET where it has a wire exchange;
 * :mod:`repro.gateway.http` — the bounded, hostile-input-hardened
   HTTP/1.1 request parsing underneath.
 

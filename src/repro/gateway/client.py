@@ -1,12 +1,12 @@
 """``HTTPStore`` / ``HTTPArray``: the remote-store surface over plain HTTP.
 
-The gateway's counterpart to :class:`~repro.serve.client.RemoteStore`: same
-lazy contract (geometry from one describe, payload bytes only on reads), same
-typed exceptions (error envelopes re-raise through
-:func:`~repro.serve.protocol.raise_remote_error`, exactly like the socket
-client), but speaking HTTP/1.1 via :mod:`http.client` — so it needs nothing
-but a URL, and anything else that speaks HTTP (curl, a browser, a dashboard)
-can share the origin::
+The gateway's counterpart to :class:`~repro.serve.client.RemoteStore`: the
+same :class:`~repro.serve.client.CatalogClient` and
+:class:`~repro.serve.client.ServedArray`, the same typed exceptions (error
+envelopes re-raise through :func:`~repro.serve.protocol.raise_remote_error`,
+exactly like the socket client), but speaking HTTP/1.1 via :mod:`http.client`
+— so it needs nothing but a URL, and anything else that speaks HTTP (curl, a
+browser, a dashboard) can share the origin::
 
     store = repro.gateway.open_http("127.0.0.1:8080")
     arr = store["density", 10]      # one GET /fields/density?step=10
@@ -18,7 +18,10 @@ raise client-side with the same ``TypeError`` the local and socket views
 produce, and the fuzz tier can assert gateway ≡ router ≡ NumPy down to error
 messages.  Array payloads arrive as ``application/octet-stream`` framed by
 ``X-Repro-Dtype`` / ``X-Repro-Shape`` response headers — zero JSON overhead
-on the hot path.
+on the hot path.  A reply that is not what the gateway promises (a short
+body, a garbled frame header, a proxy's HTML error page) raises
+:class:`~repro.serve.protocol.ProtocolError`, never an error that reads as a
+caller mistake.
 """
 
 from __future__ import annotations
@@ -26,13 +29,20 @@ from __future__ import annotations
 import json
 import threading
 from http.client import HTTPConnection, HTTPException
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 from urllib.parse import quote, urlencode
 
 import numpy as np
 
+from repro.array.core import ACCOUNTING_KEYS
+from repro.serve.client import CatalogClient, ServedArray
 from repro.serve.daemon import parse_address
-from repro.serve.protocol import ProtocolError, index_to_wire, raise_remote_error
+from repro.serve.protocol import (
+    ProtocolError,
+    decode_ndarray,
+    index_to_wire,
+    raise_remote_error,
+)
 
 __all__ = ["HTTPStore", "HTTPArray", "open_http"]
 
@@ -42,15 +52,62 @@ def open_http(address: str, timeout: float = 30.0) -> "HTTPStore":
     return HTTPStore(address, timeout=timeout)
 
 
-class HTTPStore:
-    """One keep-alive HTTP connection to a gateway, exchange-serialized.
+class HTTPArray(ServedArray):
+    """The :class:`~repro.serve.client.ServedArray` whose reads are gateway
+    GETs: ``GET /read/{field}/{step}`` with the index (or bbox) in the query
+    string and the ndarray in the octet-stream body."""
 
-    Mirrors :class:`~repro.serve.client.RemoteStore`: a lock pins the
+    def _read(self, kind: str, selector) -> Tuple[np.ndarray, Dict[str, int]]:
+        # index_to_wire here, client-side, so unsupported kinds raise the
+        # exact TypeError the local and socket views raise — no round trip.
+        if kind == "index":
+            text = json.dumps(index_to_wire(selector))
+        else:
+            text = ",".join(f"{lo}:{hi}" for lo, hi in selector)
+        store = self._store
+        status, headers, body = store.fetch(
+            f"/read/{self.field}/{self.step}",
+            {"level": str(self._level), "fill_value": repr(self.fill_value), kind: text},
+        )
+        if status != 200:
+            # Error bodies are always the JSON envelope, whatever we accepted.
+            store._parse_json(status, body)
+            raise ProtocolError(
+                f"gateway at {store.address} answered {status} to a read "
+                "without an error envelope"
+            )
+        try:
+            meta = {
+                "dtype": headers["x-repro-dtype"],
+                "shape": [int(n) for n in headers["x-repro-shape"].split(",") if n],
+            }
+            accounting = {
+                key: int(headers.get("x-repro-" + key.replace("_", "-"), 0))
+                for key in ACCOUNTING_KEYS
+            }
+            return decode_ndarray(meta, body), accounting
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProtocolError(
+                f"gateway at {store.address} framed a read reply badly: {exc!r}"
+            ) from None
+
+
+class HTTPStore(CatalogClient):
+    """:class:`~repro.serve.client.CatalogClient` over one keep-alive HTTP
+    connection to a gateway, exchange-serialized.
+
+    Like :class:`~repro.serve.client.RemoteStore`, a lock pins the
     connection to one request at a time (``http.client`` cannot interleave),
     and a request that dies mid-stream reconnects once before surfacing the
     failure — the gateway end of a keep-alive pair may close an idle
-    connection at any time.
+    connection at any time.  ``store[field, step]`` is an :class:`HTTPArray`;
+    :meth:`fetch` is the raw GET and :meth:`prometheus` the metrics scrape.
     """
+
+    _array_type = HTTPArray
+
+    #: Where each catalog op lives; ``describe`` is ``/fields/{field}?step=``.
+    _ROUTES = {"catalog": "/catalog", "stats": "/stats", "health": "/health"}
 
     def __init__(self, address: str, timeout: float = 30.0) -> None:
         host, port = parse_address(address)
@@ -92,14 +149,14 @@ class HTTPStore:
             headers = {name.lower(): value for name, value in resp.getheaders()}
             return resp.status, headers, body
 
-    def fetch_json(
-        self, path: str, query: Optional[Dict[str, str]] = None
-    ) -> Dict[str, Any]:
-        """One GET whose body is JSON; error envelopes raise typed errors."""
-        status, _, body = self.fetch(path, query)
+    def _parse_json(self, status: int, body: bytes) -> Dict[str, Any]:
+        """A reply body as its JSON document; error envelopes raise typed
+        errors, anything that is not a JSON object is a :class:`ProtocolError`."""
         try:
             payload = json.loads(body.decode("utf-8"))
         except ValueError:
+            payload = None
+        if not isinstance(payload, dict):
             raise ProtocolError(
                 f"gateway at {self.address} answered {status} with a "
                 f"non-JSON body of {len(body)} bytes"
@@ -107,6 +164,16 @@ class HTTPStore:
         if payload.get("status") == "error":
             raise_remote_error(payload)
         return payload
+
+    def _call(self, op: str, **params: Any) -> Dict[str, Any]:
+        if op != "describe":
+            path, query = self._ROUTES[op], None
+        elif "field" in params:
+            path, query = f"/fields/{params['field']}", {"step": str(params["step"])}
+        else:
+            raise TypeError("the gateway has no store-summary route; pass a field")
+        status, _, body = self.fetch(path, query)
+        return self._parse_json(status, body)
 
     @property
     def closed(self) -> bool:
@@ -120,35 +187,6 @@ class HTTPStore:
         if conn is not None:
             conn.close()
 
-    def __enter__(self) -> "HTTPStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- catalog surface -------------------------------------------------------
-    def health(self) -> Dict[str, Any]:
-        return self.fetch_json("/health")
-
-    def entries(self) -> List[Dict[str, Any]]:
-        return list(self.fetch_json("/catalog").get("entries", []))
-
-    def fields(self) -> List[str]:
-        return sorted({str(row["field"]) for row in self.entries()})
-
-    def steps(self, field: str) -> List[int]:
-        body = self.fetch_json(f"/fields/{field}")
-        return [int(step) for step in body.get("steps", [])]
-
-    def describe(self, field: str, step: int = 0) -> Dict[str, Any]:
-        return self.fetch_json(f"/fields/{field}", {"step": str(int(step))})
-
-    def __len__(self) -> int:
-        return len(self.entries())
-
-    def stats(self) -> Dict[str, Any]:
-        return self.fetch_json("/stats")
-
     def prometheus(self) -> str:
         """The merged Prometheus exposition (``/stats?format=prom``)."""
         status, _, body = self.fetch("/stats", {"format": "prom"})
@@ -158,165 +196,6 @@ class HTTPStore:
             )
         return body.decode("utf-8")
 
-    # -- arrays ----------------------------------------------------------------
-    def array(
-        self, field: str, step: int, level: int = 0, fill_value: float = 0.0
-    ) -> "HTTPArray":
-        """Lazy HTTP view of one snapshot (one describe round trip)."""
-        described = self.describe(field, step)
-        return HTTPArray(
-            self, str(field), int(step), described, level=level, fill_value=fill_value
-        )
-
-    def __getitem__(self, key: Tuple[str, int]) -> "HTTPArray":
-        field, step = key
-        return self.array(field, step)
-
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"  # repro: unlocked -- repr is a racy snapshot
         return f"HTTPStore(http://{self.address}/, {state})"
-
-
-class HTTPArray:
-    """Lazy, NumPy-style view whose reads are gateway GETs.
-
-    The same surface as :class:`~repro.serve.client.RemoteArray` — geometry
-    properties, ``levels``/``.level(k)``, basic indexing, ``read_roi``,
-    ``numpy.asarray`` — backed by ``GET /read/{field}/{step}`` with the index
-    (or bbox) in the query string and the ndarray in the octet-stream body.
-    """
-
-    def __init__(
-        self,
-        store: HTTPStore,
-        field: str,
-        step: int,
-        described: Dict[str, Any],
-        level: Optional[int] = None,
-        fill_value: float = 0.0,
-    ) -> None:
-        self._store = store
-        self._field = field
-        self._step = step
-        self._described = described
-        self._geometry = {
-            int(lvl["level"]): lvl for lvl in described.get("levels", [])
-        }
-        self._level = int(min(self._geometry) if level is None else level)
-        if self._level not in self._geometry:
-            raise KeyError(
-                f"no level {self._level}; available: {sorted(self._geometry)}"
-            )
-        self.fill_value = float(fill_value)
-        self.stats: Dict[str, int] = {
-            "requests": 0,
-            "blocks_touched": 0,
-            "blocks_decoded": 0,
-            "cache_hits": 0,
-        }
-
-    # -- ndarray-style metadata ------------------------------------------------
-    @property
-    def field(self) -> str:
-        return self._field
-
-    @property
-    def step(self) -> int:
-        return self._step
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return tuple(int(s) for s in self._geometry[self._level]["level_shape"])
-
-    @property
-    def dtype(self) -> np.dtype:
-        return np.dtype(np.float64)
-
-    @property
-    def ndim(self) -> int:
-        return len(self.shape)
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 1
-
-    def __len__(self) -> int:
-        if not self.shape:
-            raise TypeError("len() of unsized view")
-        return self.shape[0]
-
-    @property
-    def levels(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._geometry))
-
-    @property
-    def level_index(self) -> int:
-        return self._level
-
-    def level(self, k: int) -> "HTTPArray":
-        """Sibling view of level ``k`` (no round trip; geometry is shared)."""
-        return HTTPArray(
-            self._store,
-            self._field,
-            self._step,
-            self._described,
-            level=k,
-            fill_value=self.fill_value,
-        )
-
-    @property
-    def n_blocks(self) -> int:
-        return int(self._geometry[self._level]["n_blocks"])
-
-    # -- reading ---------------------------------------------------------------
-    def _read(self, selector: Dict[str, str]) -> np.ndarray:
-        query = {
-            "level": str(self._level),
-            "fill_value": repr(self.fill_value),
-            **selector,
-        }
-        status, headers, body = self._store.fetch(
-            f"/read/{self._field}/{self._step}", query
-        )
-        if status != 200:
-            # Error bodies are always the JSON envelope, whatever we accepted.
-            envelope = json.loads(body.decode("utf-8"))
-            raise_remote_error(envelope)
-        self.stats["requests"] += 1
-        for key, header in (
-            ("blocks_touched", "x-repro-blocks-touched"),
-            ("blocks_decoded", "x-repro-blocks-decoded"),
-            ("cache_hits", "x-repro-cache-hits"),
-        ):
-            self.stats[key] += int(headers.get(header, 0))
-        dtype = np.dtype(headers.get("x-repro-dtype", "<f8"))
-        shape_text = headers.get("x-repro-shape", "")
-        shape = tuple(int(n) for n in shape_text.split(",") if n != "")
-        out = np.frombuffer(body, dtype=dtype).reshape(shape)
-        out.flags.writeable = False
-        return out
-
-    def __getitem__(self, index) -> Any:
-        # index_to_wire here, client-side, so unsupported kinds raise the
-        # exact TypeError the local and socket views raise — no round trip.
-        result = self._read({"index": json.dumps(index_to_wire(index))})
-        return result[()] if result.shape == () else result
-
-    def read_roi(self, bbox) -> np.ndarray:
-        """Decode a clamped cell-space bbox (the classic ``read_roi`` contract)."""
-        return self._read(
-            {"bbox": ",".join(f"{int(lo)}:{int(hi)}" for lo, hi in bbox)}
-        )
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        out = np.asarray(self[...])
-        if dtype is not None:
-            out = out.astype(dtype, copy=False)
-        return out
-
-    def __repr__(self) -> str:
-        return (
-            f"HTTPArray({self._field}/{self._step} via http://{self._store.address}/, "
-            f"shape={self.shape}, level={self._level} of {list(self.levels)}, "
-            f"blocks={self.n_blocks})"
-        )

@@ -25,7 +25,8 @@ Three pieces:
   per-connection workers, shared readers/cache/engine, per-request decode
   accounting, graceful shutdown;
 * :class:`RemoteStore` / :class:`RemoteArray` (:mod:`repro.serve.client`) —
-  the same lazy surface as :class:`repro.array.CompressedArray`, so existing
+  a :class:`~repro.serve.client.CatalogClient` and a
+  :class:`repro.array.LazyArray` that add only the wire exchange, so existing
   analysis and vis code works unchanged against a socket.
 """
 

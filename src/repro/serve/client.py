@@ -1,8 +1,10 @@
 """``RemoteStore`` / ``RemoteArray``: the lazy view surface over a socket.
 
-The client mirrors :mod:`repro.array` exactly — *open returns a view,
-indexing triggers I/O* — so analysis and vis code written against a local
-:class:`~repro.array.CompressedArray` works unchanged against a daemon::
+The client *is* :mod:`repro.array` — :class:`RemoteArray` subclasses
+:class:`~repro.array.LazyArray` and adds only the wire exchange — so *open
+returns a view, indexing triggers I/O* and analysis and vis code written
+against a local :class:`~repro.array.CompressedArray` works unchanged
+against a daemon::
 
     remote = repro.connect("127.0.0.1:4815")
     arr = remote["density", 10]          # one describe round trip
@@ -28,6 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.array.core import LazyArray, describe_geometry
 from repro.obs import REGISTRY, TRACER, current_trace
 from repro.obs import span as obs_span
 from repro.serve.daemon import parse_address
@@ -42,7 +45,14 @@ from repro.serve.protocol import (
 )
 from repro.utils.rng import default_rng
 
-__all__ = ["ConnectSpec", "RemoteStore", "RemoteArray", "connect"]
+__all__ = [
+    "CatalogClient",
+    "ConnectSpec",
+    "RemoteArray",
+    "RemoteStore",
+    "ServedArray",
+    "connect",
+]
 
 _CLIENT_SECONDS = REGISTRY.histogram(
     "repro_client_request_seconds",
@@ -138,15 +148,146 @@ def connect(
     return RemoteStore(addr, timeout=timeout, retries=retries, backoff=backoff)
 
 
-class RemoteStore:
-    """Catalog + view factory over one daemon connection.
+class CatalogClient:
+    """The read-side catalog of a served store, over any transport.
 
     The read-side subset of :class:`repro.store.Store`: ``entries()`` /
     ``fields()`` / ``steps()`` mirror the catalog queries, ``array()`` and
-    ``store[field, step]`` return :class:`RemoteArray` views, and
-    ``stats()`` exposes the daemon's shared-cache accounting.  Usable as a
-    context manager; :meth:`close` hangs up politely.
+    ``client[field, step]`` return lazy views, ``stats()`` / ``health()``
+    expose the server's own documents.  A subclass supplies the transport as
+    one hook, :meth:`_call`, names its :class:`ServedArray` class in
+    ``_array_type`` and owns its connection (``address``, ``close()``); it is
+    usable as a context manager.
     """
+
+    _array_type: type
+
+    def _call(self, op: str, **params: Any) -> Dict[str, Any]:
+        """One ``catalog`` / ``describe`` / ``stats`` / ``health`` exchange;
+        returns the reply document, raises the server's typed errors."""
+        raise NotImplementedError
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    # -- catalog queries -------------------------------------------------------
+    def describe(self, field: Optional[str] = None, step: int = 0) -> Dict[str, Any]:
+        """Store summary, or one container's header + level geometry."""
+        if field is None:
+            return self._call("describe")
+        return self._call("describe", field=str(field), step=int(step))
+
+    def entries(self) -> List[Dict[str, Any]]:
+        """All catalog rows as plain dicts (the manifest schema)."""
+        return list(self._call("catalog")["entries"])
+
+    def fields(self) -> List[str]:
+        return sorted({e["field"] for e in self.entries()})
+
+    def steps(self, field: str) -> List[int]:
+        return sorted(e["step"] for e in self.entries() if e["field"] == str(field))
+
+    def __len__(self) -> int:
+        return len(self.entries())
+
+    def stats(self) -> Dict[str, Any]:
+        """Server-wide counters + shared-cache snapshot.
+
+        The ``"metrics"`` key holds the serving process's full registry
+        snapshot — feed it to :func:`repro.obs.render_prometheus` for text
+        exposition (that is all ``repro stats ADDR --prom`` does).
+        """
+        return self._call("stats")
+
+    def health(self) -> Dict[str, Any]:
+        """The server's health verdict.
+
+        Against a single daemon: a cheap liveness echo.  Against a shard
+        router: breaker-derived cluster health — ``ok``, per-shard breaker
+        ``shards`` states, ``degraded`` shard names and the ``unreachable``
+        replica sets (entries placed there have no live replica).
+        """
+        return self._call("health")
+
+    # -- views -----------------------------------------------------------------
+    def array(self, field: str, step: int, level: int = 0, fill_value: float = 0.0):
+        """Lazy view of one snapshot (one describe round trip)."""
+        described = self.describe(field, step)
+        return self._array_type(
+            self, str(field), int(step), described, level=level, fill_value=fill_value
+        )
+
+    def __getitem__(self, key: Tuple[str, int]):
+        field, step = key
+        return self.array(field, step)
+
+
+class ServedArray(LazyArray):
+    """A :class:`~repro.array.LazyArray` opened through a
+    :class:`CatalogClient`: all geometry is known from the opening
+    ``describe``, so only indexing and ``read_roi`` move payload bytes.
+
+    Results are **read-only zero-copy views** over the response buffer (one
+    allocation per response, no ``frombuffer(...).copy()``); call ``.copy()``
+    (or ``np.array(result)``) for a private writable array before mutating.
+    """
+
+    def __init__(
+        self,
+        store: CatalogClient,
+        field: str,
+        step: int,
+        described: Dict[str, Any],
+        level: Optional[int] = None,
+        fill_value: float = 0.0,
+    ) -> None:
+        self._store = store
+        self.field = field
+        self.step = step
+        self._origin = f"{field}/{step} via {store.address}, "
+        super().__init__(describe_geometry(described), level, fill_value)
+
+
+class RemoteArray(ServedArray):
+    """The :class:`ServedArray` whose reads are one wire exchange with a
+    daemon (or a shard router)."""
+
+    def _read(self, kind: str, selector) -> Tuple[np.ndarray, Dict[str, int]]:
+        # Indexing is compiled daemon-side; index_to_wire runs out here so
+        # unsupported kinds raise their TypeError without a round trip.
+        wire = index_to_wire(selector) if kind == "index" else [list(p) for p in selector]
+        # Root span of the whole remote read: with the tracer enabled, its
+        # trace id rides the request header and the daemon's fetch/decode/
+        # paste spans come back under it — one trace, both sides of the wire.
+        with self._store.tracer.trace(
+            "remote_read", field=self.field, step=self.step, level=self._level
+        ):
+            resp, payload = self._store.request(
+                {
+                    "op": "read",
+                    "field": self.field,
+                    "step": self.step,
+                    "level": self._level,
+                    "fill_value": self.fill_value,
+                    kind: wire,
+                }
+            )
+        return decode_ndarray(resp, payload), resp.get("accounting", {})
+
+
+class RemoteStore(CatalogClient):
+    """:class:`CatalogClient` over one daemon connection.
+
+    ``store[field, step]`` is a :class:`RemoteArray`; :meth:`exchange` /
+    :meth:`request` are the raw framed transport (the shard router relays on
+    them) and :meth:`traces` reads the daemon's trace ring.  :meth:`close`
+    hangs up politely.
+    """
+
+    _array_type = RemoteArray
 
     def __init__(
         self,
@@ -267,56 +408,8 @@ class RemoteStore:
             if not self._closed:
                 self._teardown()
 
-    def __enter__(self) -> "RemoteStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- catalog queries -------------------------------------------------------
-    def describe(self, field: Optional[str] = None, step: int = 0) -> Dict[str, Any]:
-        """Store summary, or one container's header + level geometry."""
-        header: Dict[str, Any] = {"op": "describe"}
-        if field is not None:
-            header.update(field=str(field), step=int(step))
-        resp, _ = self.request(header)
-        resp.pop("status", None)
-        return resp
-
-    def entries(self) -> List[Dict[str, Any]]:
-        """All catalog rows as plain dicts (the manifest schema)."""
-        resp, _ = self.request({"op": "catalog"})
-        return list(resp["entries"])
-
-    def fields(self) -> List[str]:
-        return sorted({e["field"] for e in self.entries()})
-
-    def steps(self, field: str) -> List[int]:
-        return sorted(e["step"] for e in self.entries() if e["field"] == str(field))
-
-    def __len__(self) -> int:
-        return int(self.describe()["n_entries"])
-
-    def stats(self) -> Dict[str, Any]:
-        """Daemon-wide counters + shared-cache snapshot.
-
-        The ``"metrics"`` key holds the daemon process's full registry
-        snapshot — feed it to :func:`repro.obs.render_prometheus` for text
-        exposition (that is all ``repro stats ADDR --prom`` does).
-        """
-        resp, _ = self.request({"op": "stats"})
-        resp.pop("status", None)
-        return resp
-
-    def health(self) -> Dict[str, Any]:
-        """The daemon's health verdict.
-
-        Against a single daemon: a cheap liveness echo.  Against a shard
-        router: breaker-derived cluster health — ``ok``, per-shard breaker
-        ``shards`` states, ``degraded`` shard names and the ``unreachable``
-        replica sets (entries placed there have no live replica).
-        """
-        resp, _ = self.request({"op": "health"})
+    def _call(self, op: str, **params: Any) -> Dict[str, Any]:
+        resp, _ = self.request({"op": op, **params})
         resp.pop("status", None)
         return resp
 
@@ -333,163 +426,6 @@ class RemoteStore:
         resp, _ = self.request(header)
         return dict(resp.get("traces", {}))
 
-    # -- views -----------------------------------------------------------------
-    def array(
-        self, field: str, step: int, level: int = 0, fill_value: float = 0.0
-    ) -> "RemoteArray":
-        """Lazy remote view of one snapshot (one describe round trip)."""
-        described = self.describe(field, step)
-        return RemoteArray(
-            self, str(field), int(step), described, level=level, fill_value=fill_value
-        )
-
-    def __getitem__(self, key: Tuple[str, int]) -> "RemoteArray":
-        field, step = key
-        return self.array(field, step)
-
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"  # repro: unlocked -- repr is a racy snapshot
         return f"RemoteStore({self.address}, {state})"
-
-
-class RemoteArray:
-    """Lazy, NumPy-style view whose reads round-trip through a daemon.
-
-    Same surface as the local view — ``shape``/``dtype``/``ndim``/``size``,
-    ``levels`` + ``.level(k)``, basic indexing, ``numpy.asarray`` — with all
-    geometry known from the opening ``describe``, so only ``__getitem__`` and
-    :meth:`read_roi` move payload bytes.  :attr:`stats` accumulates the
-    per-request accounting the daemon returns in its response headers.
-
-    Results are **read-only zero-copy views** over the response buffer (one
-    allocation per response, no ``frombuffer(...).copy()``); call ``.copy()``
-    (or ``np.array(result)``) for a private writable array before mutating.
-    """
-
-    def __init__(
-        self,
-        store: RemoteStore,
-        field: str,
-        step: int,
-        described: Dict[str, Any],
-        level: Optional[int] = None,
-        fill_value: float = 0.0,
-    ) -> None:
-        self._store = store
-        self._field = field
-        self._step = step
-        self._described = described
-        self._geometry = {
-            int(lvl["level"]): lvl for lvl in described.get("levels", [])
-        }
-        self._level = int(min(self._geometry) if level is None else level)
-        if self._level not in self._geometry:
-            raise KeyError(
-                f"no level {self._level}; available: {sorted(self._geometry)}"
-            )
-        self.fill_value = float(fill_value)
-        self.stats: Dict[str, int] = {
-            "requests": 0,
-            "blocks_touched": 0,
-            "blocks_decoded": 0,
-            "cache_hits": 0,
-        }
-
-    # -- ndarray-style metadata -------------------------------------------------
-    @property
-    def field(self) -> str:
-        return self._field
-
-    @property
-    def step(self) -> int:
-        return self._step
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return tuple(int(s) for s in self._geometry[self._level]["level_shape"])
-
-    @property
-    def dtype(self) -> np.dtype:
-        return np.dtype(np.float64)
-
-    @property
-    def ndim(self) -> int:
-        return len(self.shape)
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 1
-
-    def __len__(self) -> int:
-        if not self.shape:
-            raise TypeError("len() of unsized view")
-        return self.shape[0]
-
-    @property
-    def levels(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._geometry))
-
-    @property
-    def level_index(self) -> int:
-        return self._level
-
-    def level(self, k: int) -> "RemoteArray":
-        """Sibling view of level ``k`` (no round trip; geometry is shared)."""
-        return RemoteArray(
-            self._store,
-            self._field,
-            self._step,
-            self._described,
-            level=k,
-            fill_value=self.fill_value,
-        )
-
-    @property
-    def n_blocks(self) -> int:
-        return int(self._geometry[self._level]["n_blocks"])
-
-    # -- reading ----------------------------------------------------------------
-    def _read(self, request_body: Dict[str, Any]) -> np.ndarray:
-        # Root span of the whole remote read: with the tracer enabled, its
-        # trace id rides the request header and the daemon's fetch/decode/
-        # paste spans come back under it — one trace, both sides of the wire.
-        with self._store.tracer.trace(
-            "remote_read", field=self._field, step=self._step, level=self._level
-        ):
-            resp, payload = self._store.request(
-                {
-                    "op": "read",
-                    "field": self._field,
-                    "step": self._step,
-                    "level": self._level,
-                    "fill_value": self.fill_value,
-                    **request_body,
-                }
-            )
-        accounting = resp.get("accounting", {})
-        self.stats["requests"] += 1
-        for key in ("blocks_touched", "blocks_decoded", "cache_hits"):
-            self.stats[key] += int(accounting.get(key, 0))
-        return decode_ndarray(resp, payload)
-
-    def __getitem__(self, index) -> Any:
-        result = self._read({"index": index_to_wire(index)})
-        # A fully-scalar selection returns a NumPy scalar, like the local view.
-        return result[()] if result.shape == () else result
-
-    def read_roi(self, bbox) -> np.ndarray:
-        """Decode a clamped cell-space bbox (the classic ``read_roi`` contract)."""
-        return self._read({"bbox": [[int(lo), int(hi)] for lo, hi in bbox]})
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        out = np.asarray(self[...])
-        if dtype is not None:
-            out = out.astype(dtype, copy=False)
-        return out
-
-    def __repr__(self) -> str:
-        return (
-            f"RemoteArray({self._field}/{self._step} via {self._store.address}, "
-            f"shape={self.shape}, level={self._level} of {list(self.levels)}, "
-            f"blocks={self.n_blocks})"
-        )

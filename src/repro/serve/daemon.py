@@ -23,9 +23,9 @@ NumPy decode kernels release the GIL, so concurrent cache misses overlap.
 Container readers are opened once per ``(field, step)`` and shared across
 connections (each payload fetch opens its own file handle, so readers are
 safe to share); all daemon-wide counters mutate under one lock.  Per-request
-accounting (blocks touched / decoded / served from cache) is measured by a
-counting wrapper around the block source, so every ``read`` response reports
-exactly what it cost — the numbers ``repro store read --remote`` prints.
+accounting (blocks touched / decoded / served from cache) is what the local
+view's read reports, so every ``read`` response says exactly what it cost —
+the numbers ``repro store read --remote`` prints.
 
 Shutdown is graceful: :meth:`WireDaemon.stop` closes the listener and every
 open connection, then joins the workers, so a test fixture (or ``repro
@@ -146,52 +146,6 @@ class _ReaderSlot:
         self.reader = reader
         self.refs = 0
         self.retired = False
-
-
-class _CountingSource:
-    """Per-request accounting shim around a block source.
-
-    Forwards the full source protocol (token included, so cache keys stay
-    shared across requests and connections) while counting the blocks the
-    request touched and the subset it actually had to decode; the difference
-    is the cache's contribution.
-    """
-
-    def __init__(self, source) -> None:
-        self._source = source
-        self.token = source.token
-        self.touched = 0
-        self.decoded = 0
-
-    @property
-    def levels(self):
-        return self._source.levels
-
-    def level_shape(self, level):
-        return self._source.level_shape(level)
-
-    def unit_size(self, level):
-        return self._source.unit_size(level)
-
-    def n_blocks(self, level):
-        return self._source.n_blocks(level)
-
-    def intersecting(self, level, block_range=None):
-        handles, coords = self._source.intersecting(level, block_range)
-        self.touched += len(handles)
-        return handles, coords
-
-    def decode(self, level, handles):
-        self.decoded += len(handles)
-        return self._source.decode(level, handles)
-
-    def decode_into(self, level, handles, outs, srcs=None):
-        self.decoded += len(handles)
-        self._source.decode_into(level, handles, outs, srcs)
-
-    @property
-    def stats(self):
-        return self._source.stats
 
 
 def _request_fields(header: Dict, response: Dict) -> Dict[str, Any]:
@@ -799,32 +753,30 @@ class ReadDaemon(WireDaemon):
 
     def _op_read(self, header: Dict) -> Tuple[Dict, bytes]:
         from repro.array import CompressedArray, ContainerSource
+        from repro.store.query import normalize_bbox
 
         if ("index" in header) == ("bbox" in header):
             raise ValueError("a read request needs exactly one of 'index' or 'bbox'")
         with self._lease(header["field"], header.get("step", 0)) as reader:
-            source = _CountingSource(ContainerSource(reader))
             view = CompressedArray(
-                source,
+                ContainerSource(reader),
                 level=int(header.get("level", 0)),
                 fill_value=float(header.get("fill_value", 0.0)),
                 cache=self.cache,
             )
+            # The far end of RemoteArray._read: the selector that was shipped
+            # goes to the local view's read hook, which reports what it cost.
             if "index" in header:
-                result = view[index_from_wire(header["index"])]
+                kind, selector = "index", index_from_wire(header["index"])
             else:
                 bbox = [(int(lo), int(hi)) for lo, hi in header["bbox"]]
-                result = view.read_roi(bbox)
+                kind, selector = "bbox", normalize_bbox(bbox, view.shape)
+            result, accounting = view._read(kind, selector)
             meta, payload = encode_ndarray(np.asarray(result))
-        accounting = {
-            "blocks_touched": source.touched,
-            "blocks_decoded": source.decoded,
-            "cache_hits": source.touched - source.decoded,
-        }
         with self._lock:
             self._counters["reads"] += 1
-            self._counters["blocks_touched"] += source.touched
-            self._counters["blocks_decoded"] += source.decoded
+            self._counters["blocks_touched"] += accounting["blocks_touched"]
+            self._counters["blocks_decoded"] += accounting["blocks_decoded"]
             self._counters["result_bytes_sent"] += len(payload)
         return {
             "status": "ok",

@@ -7,7 +7,7 @@ isosurface extraction as edge-crossing point clouds, and the probabilistic
 marching cubes cell-crossing probabilities used for the uncertainty study
 (Fig. 14).
 
-All helpers consume lazy :class:`repro.array.CompressedArray` views as well
+All helpers consume lazy :class:`repro.array.LazyArray` views as well
 as ndarrays; :func:`extract_slice` indexes views in place so a slice decodes
 only the blocks its plane crosses.
 """

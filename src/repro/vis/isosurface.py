@@ -7,7 +7,7 @@ cubes triangulates; for quantitative comparison of original vs decompressed
 isosurfaces (Figs. 14 and 16) the crossing cells and points are sufficient and
 fully vectorise in NumPy.
 
-Fields may be eager ndarrays or lazy :class:`repro.array.CompressedArray`
+Fields may be eager ndarrays or lazy :class:`repro.array.LazyArray`
 views: isosurface extraction is a global stencil, so a view is materialised
 once up front (``numpy.asarray``), but callers restricting the search to an
 ROI should slice the view first — ``cell_crossings(arr[lo:hi, ...], c)``

@@ -12,7 +12,7 @@ closed form is fully vectorised; a Monte-Carlo estimator is provided for
 validation (and for future non-parametric models).
 
 ``mean_field`` (and ``decompressed`` in :func:`feature_recovery`) may be a
-lazy :class:`repro.array.CompressedArray` view — e.g. ``store[field, step]``
+lazy :class:`repro.array.LazyArray` view — e.g. ``store[field, step]``
 or its ROI slice — which is materialised once via ``numpy.asarray``; slice
 the view before passing it to keep the decode footprint to the region under
 study.

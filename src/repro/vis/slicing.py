@@ -7,10 +7,11 @@ colormap to an RGB image array) is used as the visualization surrogate — the
 SSIM of the slice tracks the SSIM of the rendered image very closely because
 the colormap is monotonic.
 
-Every helper accepts a lazy :class:`repro.array.CompressedArray` view in place
-of an ndarray; :func:`extract_slice` in particular indexes the view directly,
-so slicing a stored timestep decodes only the one plane of blocks the slice
-crosses — the slice-viewer access pattern the block store exists for.
+Every helper accepts a lazy :class:`repro.array.LazyArray` view — local or
+served — in place of an ndarray; :func:`extract_slice` in particular indexes
+the view directly, so slicing a stored timestep decodes (and, over a socket or
+HTTP, ships) only the one plane of blocks the slice crosses — the
+slice-viewer access pattern the block store exists for.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ def extract_slice(volume, axis: int = 2, position: float | int = 0.5) -> np.ndar
     """
     # Imported lazily: repro.array sits above the store (which reaches repro.vis
     # through repro.core), so a module-level import would be circular.
-    from repro.array import CompressedArray
+    from repro.array import LazyArray
 
-    lazy = isinstance(volume, CompressedArray)
+    lazy = isinstance(volume, LazyArray)
     vol = volume if lazy else np.asarray(volume, dtype=np.float64)
     if vol.ndim != 3:
         raise ValueError("extract_slice expects a 3-D volume")

@@ -1,6 +1,6 @@
 """API-hygiene negatives.  Pure AST fixture — parsed, never imported.
 
-Expected findings: one ``bare-except``, two ``mutable-default``, two
+Expected findings: one ``bare-except``, two ``mutable-default``, one
 ``deprecated-api``, two ``unclosed-resource``.
 """
 
@@ -23,8 +23,7 @@ def tag(item, labels={}):  # finding: default shared across calls
     return {**labels, "item": item}
 
 
-def legacy_read(store, level):
-    data = store.read_level(level)  # finding: deprecated eager-read surface
+def legacy_compress(store, data):
     return store.compress(data, 1e-3, relative=True)  # finding: deprecated kwarg
 
 

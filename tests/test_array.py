@@ -49,26 +49,10 @@ def container(tmp_path_factory):
 
 
 class TestViewMetadata:
-    def test_ndarray_like_surface(self, container):
-        store, field = container
-        arr = store["f", 0]
-        assert isinstance(arr, CompressedArray)
-        assert arr.shape == (32, 32, 32)
-        assert arr.dtype == np.float64
-        assert arr.ndim == 3 and arr.size == 32 ** 3 and len(arr) == 32
-        assert arr.levels == (0,)
-        assert arr.n_blocks == 64
-        assert "CompressedArray" in repr(arr)
-
     def test_opening_is_lazy(self, container):
         store, _ = container
         arr = store.array("f", 0)
         assert arr.source.stats["blocks_decoded"] == 0
-
-    def test_unknown_level_rejected(self, container):
-        store, _ = container
-        with pytest.raises(KeyError, match="no level 3"):
-            store["f", 0].level(3)
 
 
 class TestGetitem:
@@ -78,13 +62,6 @@ class TestGetitem:
         arr = store["f", 0]
         full = np.asarray(arr)
         assert np.array_equal(np.asarray(arr[index]), full[index])
-
-    def test_scalar_result(self, container):
-        store, _ = container
-        arr = store["f", 0]
-        value = arr[3, 4, 5]
-        assert np.ndim(value) == 0
-        assert float(value) == np.asarray(arr)[3, 4, 5]
 
     def test_iteration_via_getitem(self, container):
         store, _ = container
@@ -291,28 +268,11 @@ class TestBlockCache:
 
 
 class TestAdaptersAndDeprecation:
-    def test_read_level_deprecated_but_equivalent(self, container):
-        store, _ = container
-        arr = store["f", 0]
-        with pytest.warns(DeprecationWarning, match="read_level is deprecated"):
-            via_store = store.read_level("f", 0)
-        with pytest.warns(DeprecationWarning, match="read_level is deprecated"):
-            via_reader = store.get("f", 0).read_level(0)
-        assert np.array_equal(via_store, arr[...])
-        assert np.array_equal(via_reader, arr[...])
-
     def test_read_roi_is_thin_adapter(self, container):
         store, field = container
         roi = store.read_roi("f", 0, ((-5, 8), (0, 8), (24, 99)))
         assert roi.shape == (8, 8, 8)  # bbox clamping, not negative indexing
         assert np.array_equal(roi, store["f", 0][0:8, 0:8, 24:32])
-
-    def test_view_read_roi_clamps_like_bbox(self, container):
-        store, _ = container
-        arr = store["f", 0]
-        assert np.array_equal(
-            arr.read_roi(((-5, 8), (0, 8), (24, 99))), arr[0:8, 0:8, 24:32]
-        )
 
 
 class TestFacadeViews:

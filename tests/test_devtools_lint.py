@@ -93,7 +93,6 @@ def test_hygiene_rules_flag_each_shape():
     assert _rule_ids(findings) == [
         "bare-except",
         "deprecated-api",
-        "deprecated-api",
         "mutable-default",
         "mutable-default",
         "unclosed-resource",

@@ -514,3 +514,92 @@ class TestHTTPStoreSurface:
     def test_prometheus_text(self, http_store):
         text = http_store.prometheus()
         assert "repro_gateway_requests_total" in text
+
+
+# -- malformed replies ---------------------------------------------------------
+# A live gateway never frames a reply badly, so these run against a stub: a
+# stdlib ``http.server`` that answers the describe route honestly and the read
+# route with whatever (status, headers, body) the test asks for.
+
+
+@pytest.fixture()
+def stub_gateway():
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    describe = {
+        "status": "ok",
+        "levels": [{"level": 0, "level_shape": [4, 4], "unit_size": 4, "n_blocks": 1}],
+    }
+    reply = {}
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def do_GET(self):
+            if self.path.startswith("/fields/"):
+                status, headers, body = 200, {}, json.dumps(describe).encode()
+            else:
+                status, headers, body = reply["status"], reply["headers"], reply["body"]
+            self.send_response(status)
+            for name, value in {**headers, "Content-Length": str(len(body))}.items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    address = "127.0.0.1:%d" % server.server_address[1]
+
+    def read_with(status, headers, body):
+        reply.update(status=status, headers=headers, body=body)
+        with HTTPStore(address) as store:
+            return store["f", 0][...]
+
+    yield read_with
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+class TestMalformedReplies:
+    FRAME = {"X-Repro-Dtype": "<f8", "X-Repro-Shape": "4,4"}
+
+    def test_well_formed_stub_reply_decodes(self, stub_gateway):
+        data = np.arange(16.0).reshape(4, 4)
+        out = stub_gateway(200, self.FRAME, data.tobytes())
+        assert np.array_equal(out, data) and not out.flags.writeable
+
+    def test_short_body_is_a_protocol_error(self, stub_gateway):
+        # Was: "ValueError: cannot reshape array of size 8 into shape (4,4)",
+        # indistinguishable from a bad-bbox 400.
+        with pytest.raises(ProtocolError, match="payload is 64 bytes .* require 128"):
+            stub_gateway(200, self.FRAME, np.zeros(8).tobytes())
+
+    def test_non_json_error_body_is_a_protocol_error(self, stub_gateway):
+        # A proxy's HTML 502, not the gateway's JSON envelope.  Was: JSONDecodeError.
+        with pytest.raises(ProtocolError, match="answered 502 with a non-JSON body"):
+            stub_gateway(502, {"Content-Type": "text/html"}, b"<html>Bad Gateway</html>")
+
+    def test_error_status_without_an_envelope_is_a_protocol_error(self, stub_gateway):
+        with pytest.raises(ProtocolError, match="answered 500 .* without an error envelope"):
+            stub_gateway(500, {}, b'{"detail": "oops"}')
+
+    @pytest.mark.parametrize(
+        "headers",
+        [
+            {"X-Repro-Dtype": "<f8"},  # shape header missing
+            {"X-Repro-Dtype": "<f8", "X-Repro-Shape": "4,four"},
+            {"X-Repro-Dtype": "not-a-dtype", "X-Repro-Shape": "4,4"},
+            {"X-Repro-Shape": "4,4"},  # dtype header missing
+        ],
+        ids=["no-shape", "garbled-shape", "garbled-dtype", "no-dtype"],
+    )
+    def test_missing_or_garbled_frame_headers_are_protocol_errors(
+        self, stub_gateway, headers
+    ):
+        with pytest.raises(ProtocolError, match="framed a read reply badly"):
+            stub_gateway(200, headers, np.zeros(16).tobytes())
