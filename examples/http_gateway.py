@@ -68,13 +68,15 @@ def main() -> None:
         with RouterDaemon(shard_map) as router, GatewayDaemon(
             router.address, pool_size=4
         ) as gateway:
-            gateway.start()
             base = f"http://{gateway.address}"
             print(f"gateway for {len(SHARDS)} shards at {base}/")
 
             # 3. Plain HTTP — what curl or a dashboard would see.
             health = json.load(urllib.request.urlopen(f"{base}/health"))
-            print(f"/health: {health['n_entries']} entries, fields {health['fields']}")
+            print(
+                f"/health: ok={health['ok']}, replicas {health['replicas']}, "
+                f"shards {health['shards']}, degraded {health['degraded']}"
+            )
             catalog = json.load(urllib.request.urlopen(f"{base}/catalog"))
             print(f"/catalog: {len(catalog['entries'])} rows")
 

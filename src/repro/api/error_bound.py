@@ -2,9 +2,8 @@
 
 The paper (like the SZ/ZFP ecosystem it builds on) quotes error bounds in
 four interchangeable conventions: absolute, value-range relative, point-wise
-relative and a target PSNR.  The repo historically passed ``error_bound:
-float, relative: bool`` pairs through every layer, which silently conflates
-the first two and cannot express the rest.  :class:`ErrorBound` is the single
+relative and a target PSNR.  A bare ``error_bound: float`` conflates the
+first two and cannot express the rest, so :class:`ErrorBound` is the single
 serializable spec that all entry points accept; each layer resolves it
 against the data it is about to compress with :meth:`ErrorBound.resolve`.
 
@@ -14,7 +13,6 @@ from :mod:`repro.compressors.base` without cycles.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Union
 
@@ -83,36 +81,18 @@ class ErrorBound:
 
     @classmethod
     def coerce(
-        cls,
-        bound: Union["ErrorBound", Mapping[str, Any], float],
-        *,
-        relative: bool = False,
-        warn_legacy: bool = False,
+        cls, bound: Union["ErrorBound", Mapping[str, Any], float]
     ) -> "ErrorBound":
         """Normalise any accepted bound form into an :class:`ErrorBound`.
 
-        Floats become ``abs`` (or ``rel`` when ``relative=True``, the legacy
-        keyword convention); mappings go through :meth:`from_dict`;
-        ``ErrorBound`` instances pass through unchanged (``relative`` must
-        then be left at its default).  ``warn_legacy=True`` emits the
-        :class:`DeprecationWarning` for the retired ``relative=`` keyword.
+        Floats become ``abs``; mappings go through :meth:`from_dict`;
+        ``ErrorBound`` instances pass through unchanged.
         """
         if isinstance(bound, ErrorBound):
-            if relative:
-                raise ValueError("relative= cannot be combined with an ErrorBound spec")
             return bound
         if isinstance(bound, Mapping):
-            if relative:
-                raise ValueError("relative= cannot be combined with an ErrorBound dict")
             return cls.from_dict(bound)
-        if warn_legacy:
-            warnings.warn(
-                "the relative= keyword is deprecated; pass "
-                "repro.api.ErrorBound.rel(...) / ErrorBound.abs(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return cls.rel(bound) if relative else cls.abs(bound)
+        return cls.abs(bound)
 
     # -- resolution ----------------------------------------------------------
     @property

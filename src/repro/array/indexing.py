@@ -17,6 +17,11 @@ Keeping this pure (no arrays, no I/O) makes the index arithmetic exhaustively
 unit-testable — the fuzz suite (``tests/test_array_fuzz.py``) drives it with
 seeded random expressions against NumPy — and lets the read daemon
 (:mod:`repro.serve`) compile an index shipped as plain request data.
+
+The *text* spelling of both selectors — ``--index "10:20,:,::2"`` /
+``--bbox 0:16,8:24`` on the command line, ``index=`` / ``bbox=`` in a gateway
+URL — is parsed here too (:func:`parse_index_text`, :func:`parse_bbox_text`),
+so every surface accepts and rejects the same strings with the same words.
 """
 
 from __future__ import annotations
@@ -25,7 +30,13 @@ import operator
 from dataclasses import dataclass
 from typing import Any, List, Sequence, Tuple, Union
 
-__all__ = ["CompiledIndex", "compile_index", "unsupported_index_error"]
+__all__ = [
+    "CompiledIndex",
+    "compile_index",
+    "parse_bbox_text",
+    "parse_index_text",
+    "unsupported_index_error",
+]
 
 
 def unsupported_index_error(item: Any) -> TypeError:
@@ -129,3 +140,56 @@ def compile_index(index: Any, shape: Sequence[int]) -> CompiledIndex:
         bbox.append(pair)
         rel.append(r)
     return CompiledIndex(bbox=tuple(bbox), rel=tuple(rel))
+
+
+# -- text grammar ---------------------------------------------------------------
+def parse_index_text(text: str) -> Tuple[Any, ...]:
+    """Parse ``"10:20,:,::2"`` into ``(slice(10, 20), slice(None), slice(None, None, 2))``.
+
+    Each comma-separated part is an integer, ``...``, or a ``start:stop:step``
+    slice with any piece omitted — the NumPy syntax, minus spaces.  Raises
+    ``ValueError`` naming the offending part.
+    """
+    items: List[Any] = []
+    for part in text.split(","):
+        part = part.strip()
+        if part == "...":
+            items.append(Ellipsis)
+            continue
+        if ":" in part:
+            pieces = part.split(":")
+            if len(pieces) > 3:
+                raise ValueError(f"bad index axis {part!r}; at most two ':' allowed")
+            try:
+                items.append(slice(*(int(p) if p.strip() else None for p in pieces)))
+            except ValueError:
+                raise ValueError(
+                    f"bad index axis {part!r}; expected integer slice parts"
+                ) from None
+            continue
+        try:
+            items.append(int(part))
+        except ValueError:
+            raise ValueError(
+                f"bad index axis {part!r}; expected int, slice or '...'"
+            ) from None
+    return tuple(items)
+
+
+def parse_bbox_text(text: str) -> Tuple[Tuple[int, int], ...]:
+    """Parse ``"0:16,8:24,0:32"`` into ``((0, 16), (8, 24), (0, 32))``.
+
+    Raises ``ValueError`` naming the offending part.
+    """
+    pairs: List[Tuple[int, int]] = []
+    for part in text.split(","):
+        lo, sep, hi = part.partition(":")
+        if not sep:
+            raise ValueError(f"bad bbox axis {part!r}; expected lo:hi")
+        try:
+            pairs.append((int(lo), int(hi)))
+        except ValueError:
+            raise ValueError(
+                f"bad bbox axis {part!r}; expected integer lo:hi"
+            ) from None
+    return tuple(pairs)

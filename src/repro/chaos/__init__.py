@@ -16,6 +16,11 @@ bit-identical or a typed error, never a hang") instead of probabilities.
         # topology points the router at proxy.address instead of shard_addr
         ...
 
+The proxy is a :class:`repro.serve.service.ThreadedServer` like the daemons
+it fronts — same ``start``/``stop``/``serve_forever``/``with`` contract —
+and keeps only what is its own: the schedule, the relay pumps and the
+abortive (``SO_LINGER`` 0) way it drops a socket.
+
 ``repro chaos LISTEN UPSTREAM`` runs one from the command line (the
 chaos-smoke CI job fronts a shard with it and kills the shard mid-read).
 """

@@ -43,10 +43,11 @@ import logging
 import socket
 import struct
 import threading
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.obs import access_extra
 from repro.serve.daemon import parse_address
+from repro.serve.service import ThreadedServer
 from repro.utils.rng import default_rng
 
 __all__ = ["FAULTS", "ChaosSchedule", "ChaosProxy"]
@@ -159,15 +160,18 @@ class ChaosSchedule:
         return f"ChaosSchedule({list(self.script)}, seed={self.seed!r})"
 
 
-class ChaosProxy:
+class ChaosProxy(ThreadedServer):
     """Fault-injecting TCP proxy in front of one upstream address.
 
-    ``start()`` binds (an OS-assigned port by default) and returns the
-    address to point the topology at; ``stop()`` tears down the listener,
-    every live connection and the pump threads.  Usable as a context
-    manager.  ``stats()`` reports connections seen and faults applied, so
-    tests can assert the schedule actually fired.
+    A :class:`~repro.serve.service.ThreadedServer`: ``start()`` binds (an
+    OS-assigned port by default) and returns the address to point the
+    topology at; ``stop()`` tears down the listener, every live connection
+    (client and upstream side, abortively) and the pump threads.  Usable as
+    a context manager.  ``stats()`` reports connections seen and faults
+    applied, so tests can assert the schedule actually fired.
     """
+
+    _thread_name = "repro-chaos"
 
     def __init__(
         self,
@@ -178,122 +182,38 @@ class ChaosProxy:
         timeout: float = 30.0,
         backlog: int = 32,
     ) -> None:
+        super().__init__(host=host, port=port, backlog=backlog)
         up_host, up_port = parse_address(upstream)
         self.upstream = f"{up_host}:{up_port}"
         self.schedule = schedule or ChaosSchedule(["pass"])
         self.timeout = float(timeout)
-        self._host = str(host)
-        self._port = int(port)
-        self._backlog = int(backlog)
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        self._lock = threading.Lock()
-        self._n_conns = 0  # repro: guarded-by(_lock)
-        self._sockets: set = set()  # repro: guarded-by(_lock)
-        self._workers: List[threading.Thread] = []  # repro: guarded-by(_lock)
         self._faults: Dict[str, int] = {f: 0 for f in FAULTS}  # repro: guarded-by(_lock)
-
-    # -- lifecycle ---------------------------------------------------------
-    @property
-    def address(self) -> str:
-        if self._listener is None:
-            raise RuntimeError("chaos proxy is not started; call start() first")
-        return f"{self._host}:{self._port}"
-
-    def start(self) -> str:
-        if self._listener is not None:
-            return self.address
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._port))
-        listener.listen(self._backlog)
-        self._host, self._port = listener.getsockname()[:2]
-        self._listener = listener
-        self._stop.clear()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-chaos-accept", daemon=True
-        )
-        self._accept_thread.start()
-        log.info(
-            "chaos proxy started",
-            extra=access_extra(
-                address=self.address,
-                upstream=self.upstream,
-                schedule=repr(self.schedule),
-            ),
-        )
-        return self.address
-
-    def serve_forever(self, timeout: Optional[float] = None) -> None:
-        self.start()
-        self._stop.wait(timeout)
-
-    def request_stop(self) -> None:
-        """Signal-handler-safe: just unblocks :meth:`serve_forever`."""
-        self._stop.set()
-
-    def stop(self, timeout: float = 5.0) -> None:
-        self._stop.set()
-        if self._listener is not None:
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._lock:
-            sockets = list(self._sockets)
-        for sock in sockets:
-            _abort(sock)
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout)
-        with self._lock:
-            workers = list(self._workers)
-        for worker in workers:
-            worker.join(timeout)
-        self._listener = None
-        self._accept_thread = None
-
-    def __enter__(self) -> "ChaosProxy":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:
             return {
-                "connections": self._n_conns,
+                "connections": self._counters["connections"],
                 "faults": dict(self._faults),
                 "upstream": self.upstream,
             }
 
     # -- connection handling ----------------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                break  # listener closed by stop()
-            with self._lock:
-                index = self._n_conns
-                self._n_conns += 1
-                self._sockets.add(conn)
-                self._workers = [w for w in self._workers if w.is_alive()]
-                worker = threading.Thread(
-                    target=self._serve,
-                    args=(conn, index),
-                    name=f"repro-chaos-conn-{index}",
-                    daemon=True,
-                )
-                self._workers.append(worker)
-            worker.start()
+    def _drop(self, sock: socket.socket) -> None:
+        """Tear a connection down *now*, swallowing the races of a dying socket.
 
-    def _serve(self, client: socket.socket, index: int) -> None:
+        ``shutdown`` first (the server's own drop): unlike ``close``, it takes
+        effect even while another thread is blocked in ``recv`` on the same
+        fd (a pump mid-relay), so the peer sees the teardown immediately
+        instead of waiting out its timeout.  With linger 0 set, the close
+        then drops the fd abortively (RST) without lingering in TIME_WAIT.
+        """
+        try:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, _ABORT)
+        except OSError:
+            pass
+        super()._drop(sock)
+
+    def _serve_connection(self, client: socket.socket, index: int) -> None:
         plan = self.schedule.plan(index)
         with self._lock:
             self._faults[plan.fault] += 1
@@ -304,7 +224,7 @@ class ChaosProxy:
         upstream: Optional[socket.socket] = None
         try:
             if plan.fault == "refuse":
-                _abort(client)
+                self._drop(client)
                 return
             if plan.fault == "hang":
                 # Hold the socket open, forward nothing; the client's own
@@ -315,13 +235,14 @@ class ChaosProxy:
                 upstream = socket.create_connection(
                     parse_address(self.upstream), timeout=self.timeout
                 )
+                # EBADF here: stop() dropped the client while we were dialing.
+                client.settimeout(self.timeout)
             except OSError:
-                _abort(client)
+                self._drop(client)
                 return
-            client.settimeout(self.timeout)
             upstream.settimeout(self.timeout)
             with self._lock:
-                self._sockets.add(upstream)
+                self._connections.add(upstream)
             # Client -> upstream is always a clean relay (requests are not
             # the bytes under test); upstream -> client carries the fault.
             # Either side *ending* aborts both; idle relays live on until
@@ -339,12 +260,11 @@ class ChaosProxy:
                 self._stop.wait(plan.delay)
             self._pump(upstream, client, plan)
         finally:
-            for sock in (client, upstream):
-                if sock is None:
-                    continue
-                _abort(sock)
+            # The server drops ``client`` itself when this returns.
+            if upstream is not None:
+                self._drop(upstream)
                 with self._lock:
-                    self._sockets.discard(sock)
+                    self._connections.discard(upstream)
 
     def _pump_then_abort(
         self, src: socket.socket, dst: socket.socket, plan: _Plan
@@ -352,8 +272,8 @@ class ChaosProxy:
         try:
             self._pump(src, dst, plan)
         finally:
-            _abort(src)
-            _abort(dst)
+            self._drop(src)
+            self._drop(dst)
 
     def _pump(self, src: socket.socket, dst: socket.socket, plan: _Plan) -> None:
         """Relay ``src`` to ``dst`` with the plan's cut/flip applied."""
@@ -382,33 +302,11 @@ class ChaosProxy:
                     if keep:
                         dst.sendall(chunk[:keep])
                 finally:
-                    _abort(dst)
-                    _abort(src)
+                    self._drop(dst)
+                    self._drop(src)
                 break
             try:
                 dst.sendall(chunk)
             except OSError:
                 break
             relayed += len(chunk)
-
-
-def _abort(sock: socket.socket) -> None:
-    """Tear a connection down *now*, swallowing the races of a dying socket.
-
-    ``shutdown`` first: unlike ``close``, it takes effect even while another
-    thread is blocked in ``recv`` on the same fd (a pump mid-relay), so the
-    peer sees the teardown immediately instead of waiting out its timeout.
-    The linger-0 close then drops the fd without lingering in TIME_WAIT.
-    """
-    try:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, _ABORT)
-    except OSError:
-        pass
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
-        sock.close()
-    except OSError:
-        pass

@@ -86,11 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         "ptw_rel (of the peak magnitude) or psnr (dB target)",
     )
     comp.add_argument(
-        "--relative",
-        action="store_true",
-        help="deprecated alias for --mode rel",
-    )
-    comp.add_argument(
         "--block-size", type=int, default=None, help="SZ2 block size (ignored by other codecs)"
     )
     comp.add_argument(
@@ -98,6 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="plan error-bounded Bezier post-processing and store it in the container",
     )
+
+    comp.set_defaults(handler=_cmd_compress)
 
     deco = sub.add_parser("decompress", help="reconstruct a .npy field from a .rpca container")
     deco.add_argument("input", type=Path, help="input .rpca container")
@@ -108,47 +105,45 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the stored post-processing plan even if present",
     )
 
+    deco.set_defaults(handler=_cmd_decompress)
+
     info = sub.add_parser("info", help="print metadata of a .rpca container")
     info.add_argument("input", type=Path, help=".rpca container")
+    info.set_defaults(handler=_cmd_info)
 
     ev = sub.add_parser("evaluate", help="compare two .npy fields (PSNR, SSIM, max error)")
     ev.add_argument("original", type=Path)
     ev.add_argument("reconstruction", type=Path)
+    ev.set_defaults(handler=_cmd_evaluate)
 
     store = sub.add_parser("store", help="query a block-indexed compressed store (repro.store)")
     store_sub = store.add_subparsers(dest="store_command", required=True)
 
     ls = store_sub.add_parser("ls", help="list the catalog of a store directory")
     ls.add_argument("root", type=Path, help="store directory (holds manifest.json)")
+    ls.set_defaults(handler=_cmd_store_ls)
 
     get = store_sub.add_parser("get", help="decode one level of a stored snapshot to .npy")
-    get.add_argument("root", type=Path, help="store directory")
-    get.add_argument("field", help="field name")
-    get.add_argument("step", type=int, help="timestep")
-    get.add_argument("output", type=Path, help="output .npy file")
-    get.add_argument("--level", type=int, default=0, help="resolution level (default 0, finest)")
-
     roi = store_sub.add_parser(
         "roi", help="decode a sub-region, touching only the intersecting blocks"
     )
-    roi.add_argument("root", type=Path, help="store directory")
-    roi.add_argument("field", help="field name")
-    roi.add_argument("step", type=int, help="timestep")
-    roi.add_argument("output", type=Path, help="output .npy file")
+    read = store_sub.add_parser(
+        "read", help="decode a NumPy-style selection through the lazy view API"
+    )
+    for verb, handler in ((get, _cmd_store_get), (roi, _cmd_store_roi), (read, _cmd_store_read)):
+        verb.add_argument("root", type=Path, help="store directory")
+        verb.add_argument("field", help="field name")
+        verb.add_argument("step", type=int, help="timestep")
+        verb.add_argument("output", type=Path, help="output .npy file")
+        verb.add_argument(
+            "--level", type=int, default=0, help="resolution level (default 0, finest)"
+        )
+        verb.set_defaults(handler=handler)
     roi.add_argument(
         "--bbox",
         required=True,
         help="per-axis lo:hi cell ranges, comma-separated (e.g. 0:16,8:24,0:32)",
     )
-    roi.add_argument("--level", type=int, default=0, help="resolution level (default 0, finest)")
-
-    read = store_sub.add_parser(
-        "read", help="decode a NumPy-style selection through the lazy view API"
-    )
-    read.add_argument("root", type=Path, help="store directory")
-    read.add_argument("field", help="field name")
-    read.add_argument("step", type=int, help="timestep")
-    read.add_argument("output", type=Path, help="output .npy file")
     read.add_argument(
         "--index",
         required=True,
@@ -156,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(e.g. \"10:20,:,::2\", \"5,3:9,0\"; spell leading negatives as "
         "--index=-1,...)",
     )
-    read.add_argument("--level", type=int, default=0, help="resolution level (default 0, finest)")
     read.add_argument(
         "--remote",
         metavar="ADDR",
@@ -182,30 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-mb", type=float, default=64.0, help="shared block-cache capacity in MiB"
     )
     serve.add_argument(
-        "--seconds",
-        type=float,
-        default=None,
-        help="serve for this many seconds then exit cleanly (default: until ctrl-c)",
-    )
-    serve.add_argument(
         "--refresh-ttl",
         type=float,
         default=0.05,
         help="debounce the per-request store-manifest stat to at most once per "
         "TTL seconds (default 0.05; 0 stats on every request, always fresh)",
-    )
-    serve.add_argument(
-        "-v",
-        "--verbose",
-        action="count",
-        default=0,
-        help="-v logs one access line per request, -vv adds connection/reader "
-        "lifecycle chatter (default: warnings only)",
-    )
-    serve.add_argument(
-        "--log-json",
-        action="store_true",
-        help="emit log records as JSON lines instead of key=value text",
     )
     serve.add_argument(
         "--slow-ms",
@@ -215,18 +190,14 @@ def build_parser() -> argparse.ArgumentParser:
         "many milliseconds",
     )
     serve.add_argument(
-        "--trace",
-        action="store_true",
-        help="record request traces into the daemon's in-memory ring "
-        "(inspect via `repro stats` clients or the trace wire op)",
-    )
-    serve.add_argument(
         "--max-readers",
         type=int,
         default=None,
         help="bound on the daemon's per-entry container reader LRU "
         "(default 64); evicted readers close once their reads drain",
     )
+    _add_service_flags(serve)
+    serve.set_defaults(handler=_cmd_serve)
 
     stats = sub.add_parser(
         "stats", help="scrape a running daemon's telemetry (repro.obs)"
@@ -249,6 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=2.0,
         help="seconds between scrapes with --watch (default 2)",
     )
+    stats.set_defaults(handler=_cmd_stats)
 
     shard = sub.add_parser(
         "shard", help="shard a store across N daemons behind a router (repro.shard)"
@@ -260,12 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     split.add_argument("topology", type=Path, help="shard map JSON (shards need 'store' paths)")
     split.add_argument("source", type=Path, help="source store directory to split")
+    split.set_defaults(handler=_cmd_shard_split)
 
     plan = shard_sub.add_parser(
         "plan", help="print the minimal move list between two topologies (JSON)"
     )
     plan.add_argument("old", type=Path, help="current shard map JSON")
     plan.add_argument("new", type=Path, help="target shard map JSON")
+    plan.set_defaults(handler=_cmd_shard_plan)
 
     rebalance = shard_sub.add_parser(
         "rebalance", help="execute the move list between two topologies via adopt+drop"
@@ -284,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="phase 3 only: drop moved entries from their old shards "
         "(run after every router serves the new topology)",
     )
+    rebalance.set_defaults(handler=_cmd_shard_rebalance)
 
     shard_serve = shard_sub.add_parser(
         "serve", help="route the wire protocol across a topology's shard daemons"
@@ -296,12 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         "printed on startup)",
     )
     shard_serve.add_argument(
-        "--seconds",
-        type=float,
-        default=None,
-        help="serve for this many seconds then exit cleanly (default: until ctrl-c)",
-    )
-    shard_serve.add_argument(
         "--connect-retries",
         type=int,
         default=8,
@@ -309,29 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
         "daemons are still binding (default 8)",
     )
     shard_serve.add_argument(
-        "-v",
-        "--verbose",
-        action="count",
-        default=0,
-        help="-v logs one access line per routed request, -vv adds "
-        "connection/backend lifecycle chatter (default: warnings only)",
-    )
-    shard_serve.add_argument(
-        "--log-json",
-        action="store_true",
-        help="emit log records as JSON lines instead of key=value text",
-    )
-    shard_serve.add_argument(
         "--slow-ms",
         type=float,
         default=None,
         help="log a WARNING for routed requests slower than this many milliseconds",
-    )
-    shard_serve.add_argument(
-        "--trace",
-        action="store_true",
-        help="record routed request traces (shard spans grafted in) into the "
-        "router's in-memory ring",
     )
     shard_serve.add_argument(
         "--pool-size",
@@ -369,6 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between background health probes of tripped shards; "
         "0 disables the prober (default 0.25)",
     )
+    _add_service_flags(shard_serve)
+    shard_serve.set_defaults(handler=_cmd_shard_serve)
 
     gateway = sub.add_parser(
         "gateway",
@@ -395,12 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOST:PORT",
         help="HTTP bind address (default 127.0.0.1:0; port 0 picks a free "
         "port, printed on startup)",
-    )
-    gateway.add_argument(
-        "--seconds",
-        type=float,
-        default=None,
-        help="serve for this many seconds then exit cleanly (default: until ctrl-c)",
     )
     gateway.add_argument(
         "--pool-size",
@@ -430,25 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="backend connect retries (exponential backoff) while the "
         "backend is still binding (default 8)",
     )
-    gateway.add_argument(
-        "-v",
-        "--verbose",
-        action="count",
-        default=0,
-        help="-v logs one access line per HTTP request, -vv adds connection "
-        "lifecycle chatter (default: warnings only)",
-    )
-    gateway.add_argument(
-        "--log-json",
-        action="store_true",
-        help="emit log records as JSON lines instead of key=value text",
-    )
-    gateway.add_argument(
-        "--trace",
-        action="store_true",
-        help="record gateway exchange traces (backend spans grafted in) into "
-        "the in-memory trace ring",
-    )
+    _add_service_flags(gateway)
+    gateway.set_defaults(handler=_cmd_gateway)
 
     chaos = sub.add_parser(
         "chaos",
@@ -483,18 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
         "pass=4,corrupt=1,disconnect=1)",
     )
     chaos.add_argument(
-        "--seconds",
-        type=float,
-        default=None,
-        help="run for this many seconds then exit cleanly (default: until ctrl-c)",
-    )
-    chaos.add_argument(
         "--hang-timeout",
         type=float,
         default=30.0,
         help="seconds a hung connection is held before the proxy drops it "
         "(default 30)",
     )
+    _add_service_flags(chaos, log_flags=False)
+    chaos.set_defaults(handler=_cmd_chaos)
 
     lint = sub.add_parser(
         "lint", help="run the project-aware AST lint rules (repro.devtools)"
@@ -529,6 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the available rule ids and exit",
     )
+    lint.set_defaults(handler=_cmd_lint)
 
     run = sub.add_parser(
         "run", help="execute a serialized repro.api workflow/pipeline config (JSON)"
@@ -552,7 +478,40 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the JSON summary to this file",
     )
+    run.set_defaults(handler=_cmd_run)
     return parser
+
+
+def _add_service_flags(parser: argparse.ArgumentParser, log_flags: bool = True) -> None:
+    """The flags of a long-running verb, declared once (see ``_run_service``)."""
+    parser.add_argument(
+        "--seconds",
+        type=float,
+        default=None,
+        help="serve for this many seconds then exit cleanly (default: until "
+        "SIGTERM or ctrl-c)",
+    )
+    if not log_flags:
+        return
+    parser.add_argument(
+        "-v",
+        "--verbose",
+        action="count",
+        default=0,
+        help="-v logs one access line per request, -vv adds connection "
+        "lifecycle chatter (default: warnings only)",
+    )
+    parser.add_argument(
+        "--log-json",
+        action="store_true",
+        help="emit log records as JSON lines instead of key=value text",
+    )
+    parser.add_argument(
+        "--trace",
+        action="store_true",
+        help="record request traces (backend spans grafted in) into the "
+        "process's in-memory ring, readable through the trace wire op",
+    )
 
 
 def _load_field(path: Path) -> np.ndarray:
@@ -570,10 +529,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     if args.codec == "sz2" and args.block_size:
         options["block_size"] = int(args.block_size)
     compressor = get_compressor(args.codec, **options)
-    if args.mode is not None and args.relative:
-        raise SystemExit("error: --relative cannot be combined with --mode")
-    mode = args.mode or ("rel" if args.relative else "abs")
-    compressed = compressor.compress(field, ErrorBound(mode, args.error_bound))
+    compressed = compressor.compress(field, ErrorBound(args.mode or "abs", args.error_bound))
 
     if args.postprocess:
         if args.codec not in ("sz2", "zfp"):
@@ -656,46 +612,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_bbox(spec: str) -> tuple:
-    """Parse ``"0:16,8:24,0:32"`` into ``((0, 16), (8, 24), (0, 32))``."""
-    pairs = []
-    for part in spec.split(","):
-        lo, sep, hi = part.partition(":")
-        if not sep:
-            raise SystemExit(f"error: bad bbox axis {part!r}; expected lo:hi")
-        try:
-            pairs.append((int(lo), int(hi)))
-        except ValueError:
-            raise SystemExit(f"error: bad bbox axis {part!r}; expected integer lo:hi")
-    return tuple(pairs)
-
-
-def _parse_index(spec: str) -> tuple:
-    """Parse ``"10:20,:,::2"`` into ``(slice(10, 20), slice(None), slice(None, None, 2))``.
-
-    Each comma-separated part is an integer, ``...``, or a ``start:stop:step``
-    slice with any piece omitted — the NumPy syntax, minus spaces.
-    """
-    items = []
-    for part in spec.split(","):
-        part = part.strip()
-        if part == "...":
-            items.append(Ellipsis)
-            continue
-        if ":" in part:
-            pieces = part.split(":")
-            if len(pieces) > 3:
-                raise SystemExit(f"error: bad index axis {part!r}; at most two ':' allowed")
-            try:
-                items.append(slice(*(int(p) if p.strip() else None for p in pieces)))
-            except ValueError:
-                raise SystemExit(f"error: bad index axis {part!r}; expected integer slice parts")
-            continue
-        try:
-            items.append(int(part))
-        except ValueError:
-            raise SystemExit(f"error: bad index axis {part!r}; expected int, slice or '...'")
-    return tuple(items)
+def _or_exit(parse, text: str):
+    """``parse(text)`` — a bind address, the ``--index`` / ``--bbox`` grammar —
+    with its ``ValueError`` as the one-line exit."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
 
 
 def _open_store(root: Path):
@@ -711,52 +634,145 @@ def _open_store(root: Path):
         raise SystemExit(f"error: {exc}")
 
 
-def _cmd_store_read_remote(args: argparse.Namespace) -> int:
-    """``repro store read --remote``: the same query through a read daemon."""
+def _read_and_save(args: argparse.Namespace, read):
+    """The one open-view / read / except / save path of ``store get|roi|read``.
+
+    Opens the entry's lazy view — in the local store, or through the daemon
+    named by ``--remote`` — runs ``read(view)`` and saves the array to
+    ``args.output``.  Returns ``(array, view)`` for the verb's summary line.
+    """
+    from contextlib import nullcontext
+
+    from repro.compressors.errors import DecompressionError
     from repro.serve import ProtocolError, RemoteStore
 
-    index = _parse_index(args.index)
+    remote = getattr(args, "remote", None)
     try:
-        with RemoteStore(args.remote) as client:
-            view = client.array(args.field, args.step, level=args.level)
-            field = np.asarray(view[index])
-            stats = view.stats
+        opened = nullcontext(_open_store(args.root)) if remote is None else RemoteStore(remote)
+        with opened as store:
+            view = store.array(args.field, args.step, level=args.level)
+            field = np.asarray(read(view))
     except OSError as exc:
-        raise SystemExit(f"error: cannot connect to daemon at {args.remote}: {exc}")
-    except ProtocolError as exc:
-        raise SystemExit(f"error: {exc}")
+        if remote is None:
+            raise
+        raise SystemExit(f"error: cannot connect to daemon at {remote}: {exc}")
     except KeyError as exc:
         raise SystemExit(f"error: {exc.args[0] if exc.args else exc}")
-    except (ValueError, IndexError, TypeError) as exc:
+    except (ValueError, IndexError, TypeError, ProtocolError, DecompressionError) as exc:
         raise SystemExit(f"error: {exc}")
     np.save(args.output, field)
+    return field, view
+
+
+def _cmd_store_ls(args: argparse.Namespace) -> int:
+    print(_open_store(args.root).summary())
+    return 0
+
+
+def _cmd_store_get(args: argparse.Namespace) -> int:
+    field, view = _read_and_save(args, lambda view: view[...])
     print(
-        f"read [{args.index}] of {args.field} step {args.step} level "
-        f"{args.level} via {args.remote} -> {args.output}, shape {field.shape} "
-        f"(daemon decoded {stats['blocks_decoded']}/{stats['blocks_touched']} touched "
-        f"blocks, cache hits {stats['cache_hits']})"
+        f"decoded {args.field} step {args.step} level {args.level} -> "
+        f"{args.output}, shape {field.shape} "
+        f"({view.stats['blocks_decoded']} blocks)"
     )
+    return 0
+
+
+def _cmd_store_roi(args: argparse.Namespace) -> int:
+    from repro.array.indexing import parse_bbox_text
+
+    bbox = _or_exit(parse_bbox_text, args.bbox)
+    field, view = _read_and_save(args, lambda view: view.read_roi(bbox))
+    print(
+        f"decoded roi {args.bbox} of {args.field} step {args.step} level "
+        f"{args.level} -> {args.output}, shape {field.shape} "
+        f"(decoded {view.stats['blocks_decoded']}/{view.n_blocks} blocks)"
+    )
+    return 0
+
+
+def _cmd_store_read(args: argparse.Namespace) -> int:
+    """``repro store read``: the same query locally or through ``--remote``."""
+    from repro.array.indexing import parse_index_text
+
+    index = _or_exit(parse_index_text, args.index)
+    field, view = _read_and_save(args, lambda view: view[index])
+    stats = view.stats
+    what = f"read [{args.index}] of {args.field} step {args.step} level {args.level}"
+    if args.remote is not None:
+        print(
+            f"{what} via {args.remote} -> {args.output}, shape {field.shape} "
+            f"(daemon decoded {stats['blocks_decoded']}/{stats['blocks_touched']} touched "
+            f"blocks, cache hits {stats['cache_hits']})"
+        )
+    else:
+        print(
+            f"{what} -> {args.output}, shape {field.shape} "
+            f"(decoded {stats['blocks_decoded']}/{view.n_blocks} blocks in "
+            f"{stats.get('fetch_ranges', 0)} coalesced fetches, "
+            f"cache hits {stats.get('cache_hits', 0)}, "
+            f"cache resident {stats.get('cache_bytes_resident', 0)} B)"
+        )
+    return 0
+
+
+def _apply_log_flags(args: argparse.Namespace) -> None:
+    """``-v`` / ``--log-json`` / ``--trace`` of a long-running verb."""
+    from repro.obs import TRACER, configure_logging
+
+    configure_logging(verbosity=args.verbose, json_lines=args.log_json)
+    if args.trace:
+        TRACER.enable()
+
+
+def _run_service(service, seconds, banner, summary, what, errors=(OSError,)) -> int:
+    """The run loop of every long-running verb (``repro.serve.service.Service``).
+
+    Start (a failure listed in ``errors`` exits with ``error: cannot
+    <what>``), print ``banner()`` — which names the bound address — serve
+    until ``seconds`` elapse, ctrl-c or SIGTERM, then stop and print
+    ``summary(stats)`` of the ``stats()`` document taken just before the stop.
+
+    SIGTERM (systemd, CI, `kill`) shuts down as cleanly as ctrl-c; shells
+    without job control start background children with SIGINT ignored, so
+    TERM is the only reliably deliverable stop signal there.  The handler is
+    installed before the banner: once the address is printed, a TERM is
+    never fatal.
+    """
+    import signal
+
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: service.request_stop())
+    try:
+        try:
+            service.start()
+        except errors as exc:
+            raise SystemExit(f"error: cannot {what}: {exc}")
+        print(banner(), flush=True)
+        try:
+            service.serve_forever(timeout=seconds)
+        except KeyboardInterrupt:
+            pass
+        stats = service.stats()
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+        service.stop()
+    print(summary(stats))
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.array import BlockCache
-    from repro.obs import TRACER, configure_logging
     from repro.serve import ReadDaemon, parse_address
 
-    try:
-        host, port = parse_address(args.addr)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    host, port = _or_exit(parse_address, args.addr)
     store = _open_store(args.root)
     cache = BlockCache(
         max_blocks=args.cache_blocks, max_bytes=int(args.cache_mb * 2 ** 20)
     )
     if args.refresh_ttl < 0:
         raise SystemExit("error: --refresh-ttl must be >= 0")
-    configure_logging(verbosity=args.verbose, json_lines=args.log_json)
-    if args.trace:
-        TRACER.enable()
+    _apply_log_flags(args)
     daemon_kwargs = {}
     if args.max_readers is not None:
         if args.max_readers < 1:
@@ -771,92 +787,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         slow_ms=args.slow_ms,
         **daemon_kwargs,
     )
-    # SIGTERM (systemd, CI, `kill`) shuts down as cleanly as ctrl-c; shells
-    # without job control start background children with SIGINT ignored, so
-    # TERM is the only reliably deliverable stop signal there.  Installed
-    # before the banner: once the address is printed, a TERM is never fatal.
-    import signal
-
-    previous = signal.signal(signal.SIGTERM, lambda signum, frame: daemon.request_stop())
-    try:
-        daemon.start()
-    except OSError as exc:
-        signal.signal(signal.SIGTERM, previous)
-        raise SystemExit(f"error: cannot bind {args.addr}: {exc}")
-    print(
-        f"serving {args.root} ({len(store)} entries) at {daemon.address} "
-        f"(cache {args.cache_blocks} blocks / {args.cache_mb:g} MiB; ctrl-c to stop)",
-        flush=True,
+    return _run_service(
+        daemon,
+        args.seconds,
+        banner=lambda: (
+            f"serving {args.root} ({len(store)} entries) at {daemon.address} "
+            f"(cache {args.cache_blocks} blocks / {args.cache_mb:g} MiB; ctrl-c to stop)"
+        ),
+        summary=lambda stats: (
+            f"daemon stopped after {stats['requests']} requests "
+            f"({stats['reads']} reads, {stats['blocks_decoded']} blocks decoded, "
+            f"{stats['cache']['hits']} cache hits, "
+            f"{stats['cache']['bytes_resident']} B resident)"
+        ),
+        what=f"bind {args.addr}",
     )
-    try:
-        daemon.serve_forever(timeout=args.seconds)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        stats = daemon.stats()
-        daemon.stop()
-    print(
-        f"daemon stopped after {stats['requests']} requests "
-        f"({stats['reads']} reads, {stats['blocks_decoded']} blocks decoded, "
-        f"{stats['cache']['hits']} cache hits, "
-        f"{stats['cache']['bytes_resident']} B resident)"
-    )
-    return 0
-
-
-def _cmd_store(args: argparse.Namespace) -> int:
-    from repro.compressors.errors import DecompressionError
-
-    if args.store_command == "read" and args.remote is not None:
-        return _cmd_store_read_remote(args)
-    store = _open_store(args.root)
-    if args.store_command == "ls":
-        print(store.summary())
-        return 0
-    try:
-        view = store.array(args.field, args.step, level=args.level)
-        if args.store_command == "get":
-            field = view[...]
-            np.save(args.output, field)
-            print(
-                f"decoded {args.field} step {args.step} level {args.level} -> "
-                f"{args.output}, shape {field.shape} "
-                f"({view.stats['blocks_decoded']} blocks)"
-            )
-        elif args.store_command == "roi":
-            bbox = _parse_bbox(args.bbox)
-            try:
-                field = view.read_roi(bbox)
-            except ValueError as exc:
-                raise SystemExit(f"error: {exc}")
-            np.save(args.output, field)
-            print(
-                f"decoded roi {args.bbox} of {args.field} step {args.step} level "
-                f"{args.level} -> {args.output}, shape {field.shape} "
-                f"(decoded {view.stats['blocks_decoded']}/{view.n_blocks} blocks)"
-            )
-        else:  # read
-            index = _parse_index(args.index)
-            try:
-                field = np.asarray(view[index])
-            except (ValueError, IndexError, TypeError) as exc:
-                raise SystemExit(f"error: {exc}")
-            np.save(args.output, field)
-            stats = view.stats
-            print(
-                f"read [{args.index}] of {args.field} step {args.step} level "
-                f"{args.level} -> {args.output}, shape {field.shape} "
-                f"(decoded {stats['blocks_decoded']}/{view.n_blocks} blocks in "
-                f"{stats.get('fetch_ranges', 0)} coalesced fetches, "
-                f"cache hits {stats.get('cache_hits', 0)}, "
-                f"cache resident {stats.get('cache_bytes_resident', 0)} B)"
-            )
-        return 0
-    except KeyError as exc:
-        raise SystemExit(f"error: {exc.args[0]}")
-    except DecompressionError as exc:
-        raise SystemExit(f"error: {exc}")
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -901,16 +846,6 @@ def _load_shard_map(path: Path):
         return ShardMap.load(path)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-
-
-def _cmd_shard(args: argparse.Namespace) -> int:
-    if args.shard_command == "split":
-        return _cmd_shard_split(args)
-    if args.shard_command == "plan":
-        return _cmd_shard_plan(args)
-    if args.shard_command == "rebalance":
-        return _cmd_shard_rebalance(args)
-    return _cmd_shard_serve(args)
 
 
 def _cmd_shard_split(args: argparse.Namespace) -> int:
@@ -961,14 +896,10 @@ def _cmd_shard_rebalance(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_serve(args: argparse.Namespace) -> int:
-    from repro.obs import TRACER, configure_logging
     from repro.serve import parse_address
     from repro.shard import RouterDaemon, ShardError, ShardMap
 
-    try:
-        host, port = parse_address(args.addr)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    host, port = _or_exit(parse_address, args.addr)
     shard_map = _load_shard_map(args.topology)
     if args.replicas is not None:
         try:
@@ -979,9 +910,7 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
             )
         except ValueError as exc:
             raise SystemExit(f"error: {exc}")
-    configure_logging(verbosity=args.verbose, json_lines=args.log_json)
-    if args.trace:
-        TRACER.enable()
+    _apply_log_flags(args)
     if args.pool_size < 1:
         raise SystemExit("error: --pool-size must be >= 1")
     if args.breaker_threshold < 1:
@@ -997,39 +926,25 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
         breaker_cooldown=args.breaker_cooldown,
         probe_interval=args.probe_interval,
     )
-    # Same SIGTERM discipline as `repro serve`: installed before the banner,
-    # so once the address is printed a TERM always exits cleanly.
-    import signal
-
-    previous = signal.signal(signal.SIGTERM, lambda signum, frame: router.request_stop())
-    try:
-        router.start()
-    except (OSError, ShardError) as exc:
-        signal.signal(signal.SIGTERM, previous)
-        raise SystemExit(f"error: cannot start router: {exc}")
-    print(
-        f"routing {len(shard_map.shards)} shards "
-        f"({', '.join(s.name + '=' + s.address for s in shard_map.shards)}) "
-        f"at {router.address} "
-        f"(replicas {shard_map.replicas}, breaker threshold "
-        f"{args.breaker_threshold}; ctrl-c to stop)",
-        flush=True,
+    return _run_service(
+        router,
+        args.seconds,
+        banner=lambda: (
+            f"routing {len(shard_map.shards)} shards "
+            f"({', '.join(s.name + '=' + s.address for s in shard_map.shards)}) "
+            f"at {router.address} "
+            f"(replicas {shard_map.replicas}, breaker threshold "
+            f"{args.breaker_threshold}; ctrl-c to stop)"
+        ),
+        summary=lambda stats: (
+            f"router stopped after {stats['requests']} requests "
+            f"({stats['reads_forwarded']} reads forwarded, "
+            f"{stats['relay_bytes']} B relayed, "
+            f"{stats['backend_errors']} backend errors)"
+        ),
+        what="start router",
+        errors=(OSError, ShardError),
     )
-    try:
-        router.serve_forever(timeout=args.seconds)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        stats = router.stats()
-        router.stop()
-    print(
-        f"router stopped after {stats['requests']} requests "
-        f"({stats['reads_forwarded']} reads forwarded, "
-        f"{stats['relay_bytes']} B relayed, "
-        f"{stats['backend_errors']} backend errors)"
-    )
-    return 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -1045,11 +960,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.obs import configure_logging
     from repro.serve import parse_address
 
-    try:
-        host, port = parse_address(args.listen)
-        up_host, up_port = parse_address(args.upstream)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    host, port = _or_exit(parse_address, args.listen)
+    upstream = _or_exit(parse_address, args.upstream)
     if args.script is not None and args.weights is not None:
         raise SystemExit("error: --script and --weights are mutually exclusive")
     try:
@@ -1073,62 +985,45 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             schedule = ChaosSchedule.random(args.seed)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    configure_logging(verbosity=getattr(args, "verbose", 0))
+    configure_logging()
     proxy = ChaosProxy(
-        (up_host, up_port),
+        upstream,
         schedule=schedule,
         host=host,
         port=port,
         timeout=args.hang_timeout,
     )
-    # Same SIGTERM discipline as `repro serve`: installed before the banner,
-    # so once the address is printed a TERM always exits cleanly.
-    import signal
 
-    previous = signal.signal(signal.SIGTERM, lambda signum, frame: proxy.request_stop())
-    try:
-        proxy.start()
-    except OSError as exc:
-        signal.signal(signal.SIGTERM, previous)
-        raise SystemExit(f"error: cannot start chaos proxy: {exc}")
-    print(
-        f"chaos proxy for {proxy.upstream} at {proxy.address} "
-        f"({schedule!r}; ctrl-c to stop)",
-        flush=True,
+    def summary(stats) -> str:
+        injected = {f: n for f, n in stats["faults"].items() if n and f != "pass"}
+        return (
+            f"chaos proxy stopped after {stats['connections']} connections "
+            f"(faults injected: {injected or 'none'})"
+        )
+
+    return _run_service(
+        proxy,
+        args.seconds,
+        banner=lambda: (
+            f"chaos proxy for {proxy.upstream} at {proxy.address} "
+            f"({schedule!r}; ctrl-c to stop)"
+        ),
+        summary=summary,
+        what="start chaos proxy",
     )
-    try:
-        proxy.serve_forever(timeout=args.seconds)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        stats = proxy.stats()
-        proxy.stop()
-    injected = {f: n for f, n in stats["faults"].items() if n and f != "pass"}
-    print(
-        f"chaos proxy stopped after {stats['connections']} connections "
-        f"(faults injected: {injected or 'none'})"
-    )
-    return 0
 
 
 def _cmd_gateway(args: argparse.Namespace) -> int:
     from repro.gateway import GatewayDaemon
-    from repro.obs import TRACER, configure_logging
     from repro.serve import ReadDaemon, parse_address
     from repro.serve.protocol import ProtocolError
 
     if (args.root is None) == (args.router is None):
         raise SystemExit("error: give exactly one of ROOT or --router ADDR")
-    try:
-        http_host, http_port = parse_address(args.http)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    http_host, http_port = _or_exit(parse_address, args.http)
     if args.pool_size < 1:
         raise SystemExit("error: --pool-size must be >= 1")
-    configure_logging(verbosity=args.verbose, json_lines=args.log_json)
-    if args.trace:
-        TRACER.enable()
+    _apply_log_flags(args)
 
     inner = None
     if args.root is not None:
@@ -1139,12 +1034,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         backend = inner.start()
         backend_label = f"{args.root} ({len(store)} entries)"
     else:
-        try:
-            backend_host, backend_port = parse_address(args.router)
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}")
-        backend = f"{backend_host}:{backend_port}"
-        backend_label = backend
+        backend = backend_label = "%s:%d" % _or_exit(parse_address, args.router)
 
     daemon = GatewayDaemon(
         backend,
@@ -1155,40 +1045,26 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         request_timeout=args.request_timeout,
         retries=args.connect_retries,
     )
-    # Same SIGTERM discipline as `repro serve`: installed before the banner,
-    # so once the address is printed a TERM always exits cleanly.
-    import signal
-
-    previous = signal.signal(signal.SIGTERM, lambda signum, frame: daemon.request_stop())
     try:
-        daemon.start()
-    except (OSError, ProtocolError) as exc:
-        signal.signal(signal.SIGTERM, previous)
-        if inner is not None:
-            inner.stop()
-        raise SystemExit(f"error: cannot start gateway: {exc}")
-    print(
-        f"gateway for {backend_label} at http://{daemon.address}/ "
-        f"(pool {args.pool_size}, max {args.max_connections} connections; "
-        f"ctrl-c to stop)",
-        flush=True,
-    )
-    try:
-        daemon.serve_forever(timeout=args.seconds)
-    except KeyboardInterrupt:
-        pass
+        return _run_service(
+            daemon,
+            args.seconds,
+            banner=lambda: (
+                f"gateway for {backend_label} at http://{daemon.address}/ "
+                f"(pool {args.pool_size}, max {args.max_connections} connections; "
+                f"ctrl-c to stop)"
+            ),
+            summary=lambda stats: (
+                f"gateway stopped after {stats['requests']} requests "
+                f"({stats['errors']} errors, {stats['http_bytes_sent']} B sent, "
+                f"{len(stats['clients'])} clients)"
+            ),
+            what="start gateway",
+            errors=(OSError, ProtocolError),
+        )
     finally:
-        signal.signal(signal.SIGTERM, previous)
-        stats = daemon.stats()
-        daemon.stop()
         if inner is not None:
             inner.stop()
-    print(
-        f"gateway stopped after {stats['requests']} requests "
-        f"({stats['errors']} errors, {stats['http_bytes_sent']} B sent, "
-        f"{len(stats['clients'])} clients)"
-    )
-    return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -1262,22 +1138,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "compress": _cmd_compress,
-        "decompress": _cmd_decompress,
-        "info": _cmd_info,
-        "evaluate": _cmd_evaluate,
-        "store": _cmd_store,
-        "serve": _cmd_serve,
-        "shard": _cmd_shard,
-        "chaos": _cmd_chaos,
-        "gateway": _cmd_gateway,
-        "stats": _cmd_stats,
-        "lint": _cmd_lint,
-        "run": _cmd_run,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (CompressorError, ValueError, OSError) as exc:
         # Operational failures (bad specs, unreadable files, bound violations)
         # become a one-line diagnostic instead of a traceback.

@@ -157,8 +157,6 @@ class Compressor(ABC):
         self,
         data: np.ndarray,
         error_bound: Union[float, ErrorBound, Dict[str, Any]],
-        *,
-        relative: Optional[bool] = None,
     ) -> CompressedArray:
         """Compress ``data`` under a point-wise error bound.
 
@@ -169,8 +167,7 @@ class Compressor(ABC):
         error_bound:
             An :class:`~repro.api.error_bound.ErrorBound` spec (or its dict
             form), resolved against ``data``; a bare float is an absolute
-            bound.  The ``relative=`` keyword is the deprecated spelling of
-            ``ErrorBound.rel`` and emits a :class:`DeprecationWarning`.
+            bound.
         """
         arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         if arr.ndim not in (1, 2, 3):
@@ -178,9 +175,7 @@ class Compressor(ABC):
         if arr.size == 0:
             raise CompressionError("cannot compress an empty array")
         try:
-            spec = ErrorBound.coerce(
-                error_bound, relative=bool(relative), warn_legacy=relative is not None
-            )
+            spec = ErrorBound.coerce(error_bound)
         except ValueError as exc:
             raise CompressionError(str(exc)) from exc
         eb = float(spec.resolve(arr))
@@ -238,7 +233,6 @@ class Compressor(ABC):
         data: np.ndarray,
         error_bound: Union[float, ErrorBound, Dict[str, Any]],
         *,
-        relative: Optional[bool] = None,
         verify: bool = False,
     ) -> RoundTripResult:
         """Compress then decompress, returning quality statistics.
@@ -247,9 +241,7 @@ class Compressor(ABC):
         reconstruction exceeds the requested bound (used heavily in tests).
         """
         arr = np.asarray(data, dtype=np.float64)
-        # Legacy adapter: roundtrip still forwards the deprecated spelling so
-        # pre-ErrorBound callers keep working.
-        comp = self.compress(arr, error_bound, relative=relative)  # repro: ignore[deprecated-api] -- legacy adapter
+        comp = self.compress(arr, error_bound)
         recon = self.decompress(comp)
         err = np.abs(recon - arr)
         max_err = float(err.max())

@@ -13,7 +13,6 @@ from typing import List
 from repro.devtools.lint import Rule
 from repro.devtools.rules.hygiene import (
     BareExceptRule,
-    DeprecatedApiRule,
     MutableDefaultRule,
     UnclosedResourceRule,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "MetricsHygieneRule",
     "BareExceptRule",
     "MutableDefaultRule",
-    "DeprecatedApiRule",
     "UnclosedResourceRule",
 ]
 
@@ -41,6 +39,5 @@ def default_rules() -> List[Rule]:
         MetricsHygieneRule(),
         BareExceptRule(),
         MutableDefaultRule(),
-        DeprecatedApiRule(),
         UnclosedResourceRule(),
     ]

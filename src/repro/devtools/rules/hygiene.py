@@ -4,9 +4,6 @@
   and hides daemon shutdown bugs; catch ``Exception`` (and say why).
 - ``mutable-default``: ``def f(x=[])`` / ``={}`` / ``=set()`` — the default is
   shared across calls.
-- ``deprecated-api``: the pre-PR 2 surface — ``relative=`` on compress-side
-  calls (replaced by :class:`repro.api.ErrorBound` modes).  Internal adapters
-  keep it alive deliberately and carry ``# repro: ignore[deprecated-api]``.
 - ``unclosed-resource``: ``open``/``mmap.mmap``/``socket.socket``/
   ``socket.create_connection`` results that provably leak.  Deliberately
   conservative: a resource assigned to ``self.<attr>`` (ownership moved to
@@ -25,7 +22,6 @@ from repro.devtools.lint import Context, Rule
 __all__ = [
     "BareExceptRule",
     "MutableDefaultRule",
-    "DeprecatedApiRule",
     "UnclosedResourceRule",
 ]
 
@@ -73,37 +69,6 @@ class MutableDefaultRule(Rule):
                     f"mutable default argument in '{name}' is shared across "
                     f"calls; default to None and create inside",
                 )
-
-
-class DeprecatedApiRule(Rule):
-    id = "deprecated-api"
-    help = "pre-PR 2 surface: relative= on compress calls"
-
-    node_types = (ast.Call,)
-
-    #: Callables whose ``relative=`` keyword is the deprecated error-bound
-    #: spelling (ErrorBound.rel replaced it); restricting by callee name keeps
-    #: unrelated ``relative=`` kwargs (e.g. path helpers) out of scope.
-    _RELATIVE_CALLEES = {"compress", "append", "run_workflow", "compress_hierarchy",
-                         "roundtrip"}
-
-    def visit(self, node: ast.AST, ctx: Context) -> None:
-        assert isinstance(node, ast.Call)
-        func = node.func
-        callee = (
-            func.id if isinstance(func, ast.Name)
-            else func.attr if isinstance(func, ast.Attribute)
-            else None
-        )
-        if callee in self._RELATIVE_CALLEES:
-            for kw in node.keywords:
-                if kw.arg == "relative":
-                    ctx.report(
-                        kw.value,
-                        f"'relative=' on {callee}() is the deprecated "
-                        f"error-bound spelling; pass an "
-                        f"ErrorBound (e.g. ErrorBound.rel(...))",
-                    )
 
 
 class UnclosedResourceRule(Rule):

@@ -5,7 +5,10 @@ An attribute assignment annotated ``# repro: guarded-by(_lock)`` declares that
 then walks every method of the class tracking which locks are held —
 ``with self._lock:`` blocks acquire, nested ``def``/``lambda`` bodies *reset*
 the held set (closures run later, on other threads) — and reports any guarded
-access outside the lock.
+access outside the lock.  Declarations are inherited: a field a base class
+declares guarded is checked in every subclass in the project too (bases
+resolve by class name, a class of the same module first), which is why the
+checking happens once all modules are parsed.
 
 Escapes, because real concurrent code has deliberate exceptions:
 
@@ -20,7 +23,7 @@ Escapes, because real concurrent code has deliberate exceptions:
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.devtools.lint import Context, ModuleInfo, Rule
 
@@ -56,21 +59,45 @@ class GuardedByRule(Rule):
     )
     node_types = (ast.ClassDef,)
 
+    def __init__(self) -> None:
+        #: class name -> every (module, class) of that name in the project
+        self._classes: Dict[str, List[Tuple[ModuleInfo, ast.ClassDef]]] = {}
+
     def visit(self, node: ast.AST, ctx: Context) -> None:
-        assert isinstance(node, ast.ClassDef)
-        module = ctx.module
-        assert module is not None
-        guarded = self._collect_guarded(node, module)
-        if not guarded:
-            return
-        for stmt in node.body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if stmt.name in ("__init__", "__new__"):
-                continue  # the object is not visible to other threads yet
-            self._check(stmt, self._held_at_entry(stmt, module), guarded, module, ctx)
+        assert isinstance(node, ast.ClassDef) and ctx.module is not None
+        self._classes.setdefault(node.name, []).append((ctx.module, node))
+
+    def finish_project(self, ctx: Context) -> None:
+        for candidates in self._classes.values():
+            for module, cls in candidates:
+                guarded = self._guarded_with_bases(cls, module, set())
+                if not guarded:
+                    continue
+                for stmt in cls.body:
+                    if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        continue
+                    if stmt.name in ("__init__", "__new__"):
+                        continue  # the object is not visible to other threads yet
+                    held = self._held_at_entry(stmt, module)
+                    self._check(stmt, held, guarded, module, ctx)
 
     # -- declaration collection ------------------------------------------------
+    def _guarded_with_bases(
+        self, cls: ast.ClassDef, module: ModuleInfo, seen: Set[int]
+    ) -> Dict[str, str]:
+        """``cls``'s own declarations over those of its project-local bases."""
+        seen.add(id(cls))
+        guarded: Dict[str, str] = {}
+        for base in cls.bases:
+            name = getattr(base, "id", None) or getattr(base, "attr", None)
+            candidates = self._classes.get(name, [])
+            local = [c for c in candidates if c[0] is module]
+            for base_module, base_cls in local or candidates:
+                if id(base_cls) not in seen:
+                    guarded.update(self._guarded_with_bases(base_cls, base_module, seen))
+        guarded.update(self._collect_guarded(cls, module))
+        return guarded
+
     def _collect_guarded(
         self, cls: ast.ClassDef, module: ModuleInfo
     ) -> Dict[str, str]:
@@ -119,7 +146,7 @@ class GuardedByRule(Rule):
         ctx: Context,
     ) -> None:
         if isinstance(node, ast.ClassDef):
-            return  # handled by its own visit()
+            return  # checked as a class of its own
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             # A nested def is a closure: it runs later, possibly on another
             # thread, so the enclosing with-block's locks do not apply.
@@ -154,6 +181,7 @@ class GuardedByRule(Rule):
                         f"'self.{attr}' is guarded by 'self.{lock}' but accessed "
                         f"without holding it (add 'with self.{lock}', a "
                         f"'# repro: holds({lock})' contract, or '# repro: unlocked')",
+                        module=module,
                     )
             # still recurse: self.a.b chains
         for child in ast.iter_child_nodes(node):

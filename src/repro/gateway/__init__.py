@@ -6,7 +6,9 @@ dashboard, a notebook on another host, or ``curl``.  This package bridges
 that gap with nothing beyond the stdlib:
 
 * :class:`GatewayDaemon` (:mod:`repro.gateway.daemon`) — an asyncio HTTP
-  server that mounts on one wire backend (a
+  server under the shared :class:`repro.serve.service.Service` lifecycle
+  (``with GatewayDaemon(addr) as g:`` starts it; ``g.address`` raises until
+  then) that mounts on one wire backend (a
   :class:`~repro.serve.daemon.ReadDaemon` or — fronting a whole cluster —
   a :class:`~repro.shard.RouterDaemon`) through a per-backend
   :class:`~repro.serve.pool.ConnectionPool`, exposing ``/health``,

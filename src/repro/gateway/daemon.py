@@ -29,8 +29,9 @@ so an HTTP client re-raises precisely what a socket client would: bad bbox →
 exchanges, never re-phrases), which is what the gateway parity fuzz tier
 asserts message-for-message.
 
-Concurrency model: the asyncio event loop runs on a background thread (so
-``start()/stop()/serve_forever()`` mirror :class:`WireDaemon`); backend wire
+Concurrency model: the asyncio event loop runs on a background thread, under
+the same :class:`~repro.serve.service.Service` lifecycle as the socket
+daemons (``start()/stop()/serve_forever()``, ``with``); backend wire
 exchanges — blocking socket I/O — run on a small thread pool, each holding a
 lease from a :class:`~repro.serve.pool.ConnectionPool`, so concurrent HTTP
 requests fan out over up to ``pool_size`` backend connections.  A
@@ -54,6 +55,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.array.indexing import parse_bbox_text, parse_index_text
 from repro.gateway import http
 from repro.gateway.http import HttpError, Request
 from repro.obs import REGISTRY, TRACER, access_extra, merge_snapshots, render_prometheus
@@ -66,6 +68,7 @@ from repro.serve.protocol import (
     index_from_wire,
     index_to_wire,
 )
+from repro.serve.service import Service
 
 __all__ = ["GatewayDaemon", "STATUS_BY_ERROR_TYPE", "MAX_TRACKED_CLIENTS"]
 
@@ -131,7 +134,7 @@ class _BackendEnvelope(Exception):
         self.resp = resp
 
 
-class GatewayDaemon:
+class GatewayDaemon(Service):
     """HTTP/1.1 front end over one wire-protocol backend (daemon or router).
 
     Parameters
@@ -175,21 +178,19 @@ class GatewayDaemon:
             backend = ConnectSpec(
                 address, timeout=timeout, retries=retries, backoff=backoff
             )
+        super().__init__(host=host, port=port)
         self.spec = backend
         self.tracer = TRACER if tracer is None else tracer
         self.pool_size = max(1, int(pool_size))
         self.max_connections = max(1, int(max_connections))
         self.request_timeout = float(request_timeout)
         self.idle_timeout = float(idle_timeout)
-        self._host = host
-        self._port = int(port)
         self._pool = ConnectionPool(backend, size=self.pool_size, tracer=self.tracer)
         self._executor: Optional[ThreadPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._start_error: Optional[BaseException] = None
-        self._stop_event = threading.Event()
         self._lock = threading.Lock()
         self._active = 0  # repro: guarded-by(_lock)
         self._counters: Dict[str, int] = {  # repro: guarded-by(_lock)
@@ -201,24 +202,19 @@ class GatewayDaemon:
             "http_bytes_received": 0,
         }
         self._clients: Dict[str, Dict[str, int]] = {}  # repro: guarded-by(_lock)
-        self._collector_fns: list = []
 
     # -- lifecycle -------------------------------------------------------------
-    @property
-    def address(self) -> str:
-        return f"{self._host}:{self._port}"
+    def _collectors(self) -> List[Callable]:
+        return [self._collect_families]
 
-    def start(self) -> str:
-        """Warm the backend pool, bind the HTTP server, return the address."""
-        if self._thread is not None:
-            return self.address
+    def _open(self) -> None:
+        """Warm the backend pool, then bind the HTTP server on its loop thread."""
         # One backend connection up front: a dead or misaddressed backend
         # fails here, loudly, not on the first HTTP request.
         self._pool.warm()
         self._executor = ThreadPoolExecutor(
             max_workers=self.pool_size + 2, thread_name_prefix="repro-gateway-io"
         )
-        self._stop_event.clear()
         self._start_error = None
         self._loop = asyncio.new_event_loop()
         started = threading.Event()
@@ -237,9 +233,6 @@ class GatewayDaemon:
             self._executor.shutdown(wait=False)
             self._executor = None
             raise error
-        self._collector_fns = [REGISTRY.add_collector(self._collect_families, owner=self)]
-        log.debug("gateway started", extra=access_extra(address=self.address))
-        return self.address
 
     def _run_loop(self, started: threading.Event) -> None:
         assert self._loop is not None
@@ -280,21 +273,8 @@ class GatewayDaemon:
             task.cancel()
         await asyncio.gather(*tasks, return_exceptions=True)
 
-    def serve_forever(self, timeout: Optional[float] = None) -> None:
-        """Start (if needed) and block until :meth:`request_stop` or ``timeout``."""
-        self.start()
-        self._stop_event.wait(timeout)
-
-    def request_stop(self) -> None:
-        """Unblock :meth:`serve_forever`; safe from a signal handler."""
-        self._stop_event.set()
-
-    def stop(self, timeout: float = 5.0) -> None:
+    def _close(self, timeout: float) -> None:
         """Close the server and every connection; drain the backend pool."""
-        self._stop_event.set()
-        for collect in self._collector_fns:
-            REGISTRY.remove_collector(collect)
-        self._collector_fns = []
         if self._thread is not None:
             assert self._loop is not None
             self._loop.call_soon_threadsafe(self._loop.stop)
@@ -305,13 +285,6 @@ class GatewayDaemon:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
         self._pool.close()
-        log.debug("gateway stopped", extra=access_extra(address=self.address))
-
-    def __enter__(self) -> "GatewayDaemon":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
     # -- connection handling ---------------------------------------------------
     async def _handle(
@@ -351,7 +324,7 @@ class GatewayDaemon:
                 except (asyncio.TimeoutError, OSError):
                     pass
                 return
-            while not self._stop_event.is_set():
+            while not self._stop.is_set():
                 try:
                     request = await asyncio.wait_for(
                         http.read_request(reader), timeout=self.idle_timeout
@@ -687,7 +660,7 @@ class GatewayDaemon:
         if "index" in request.query:
             header["index"] = _parse_index_param(request.query["index"])
         if "bbox" in request.query:
-            header["bbox"] = _parse_bbox_param(request.query["bbox"])
+            header["bbox"] = _parse_text(parse_bbox_text, request.query["bbox"])
         if "index" not in header and "bbox" not in header:
             header["index"] = index_to_wire(...)  # whole-array read
         resp, payload = await self._exchange(header)
@@ -792,7 +765,7 @@ class GatewayDaemon:
         ]
 
     def __repr__(self) -> str:
-        bound = f"at {self.address}" if self._thread is not None else "(not started)"
+        bound = f"at {self.address}" if self._running else "(not started)"
         return f"GatewayDaemon({self.spec.address} {bound})"
 
 
@@ -828,45 +801,12 @@ def _parse_index_param(text: str) -> list:
         except (ValueError, ProtocolError) as exc:
             raise HttpError(400, f"bad index expression {text!r}: {exc}")
         return wire
-    items: list = []
-    for part in text.split(","):
-        part = part.strip()
-        if part == "...":
-            items.append(Ellipsis)
-            continue
-        if ":" in part:
-            pieces = part.split(":")
-            if len(pieces) > 3:
-                raise HttpError(
-                    400, f"bad index axis {part!r}; at most two ':' allowed"
-                )
-            try:
-                items.append(
-                    slice(*(int(piece) if piece.strip() else None for piece in pieces))
-                )
-            except ValueError:
-                raise HttpError(
-                    400, f"bad index axis {part!r}; expected integer slice parts"
-                )
-            continue
-        try:
-            items.append(int(part))
-        except ValueError:
-            raise HttpError(
-                400, f"bad index axis {part!r}; expected int, slice or '...'"
-            )
-    return index_to_wire(tuple(items))
+    return index_to_wire(_parse_text(parse_index_text, text))
 
 
-def _parse_bbox_param(text: str) -> List[List[int]]:
-    """``bbox=0:16,8:24,0:32`` -> ``[[0, 16], [8, 24], [0, 32]]``."""
-    pairs: List[List[int]] = []
-    for part in text.split(","):
-        lo, sep, hi = part.partition(":")
-        if not sep:
-            raise HttpError(400, f"bad bbox axis {part!r}; expected lo:hi")
-        try:
-            pairs.append([int(lo), int(hi)])
-        except ValueError:
-            raise HttpError(400, f"bad bbox axis {part!r}; expected integer lo:hi")
-    return pairs
+def _parse_text(parse: Callable[[str], tuple], text: str) -> tuple:
+    """The shared selector grammar, its ``ValueError`` answered as a 400."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise HttpError(400, str(exc))

@@ -9,7 +9,7 @@ process.  Two reporting styles coexist on purpose:
   are owned by the registry and mutated inline by instrumented code.  An
   observation is a few arithmetic operations under one small lock; with the
   registry disabled (``REGISTRY.enabled = False``) it is a single attribute
-  check, which is what lets ``bench_hotpath.py`` price the overhead.
+  check.
 * **Collectors** wrap state that already exists — ``BlockCache.stats``,
   ``ContainerReader`` fetch counters, ``CodecEngine`` batch stats, daemon
   counters — instead of duplicating it.  A collector is a callable invoked

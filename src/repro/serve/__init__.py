@@ -16,14 +16,21 @@ paying full decode cost::
     arr = remote["density", 10]        # lazy: one describe round trip
     plane = arr[:, :, 16]              # daemon decodes only missed blocks
 
-Three pieces:
+Four pieces:
 
+* :mod:`repro.serve.service` — ``Service``, the lifecycle every long-running
+  repro server shares (``address`` / ``start`` / ``stop`` /
+  ``serve_forever`` / ``request_stop`` / ``with``, collectors registered
+  while running), and ``ThreadedServer``, its blocking-socket form (accept
+  loop, one worker per connection); the read daemon, the shard router and
+  the chaos proxy are threaded servers, the HTTP gateway is a ``Service``
+  around an event loop;
 * :mod:`repro.serve.protocol` — versioned, length-prefixed JSON-header +
   raw-ndarray-payload frames for ``describe`` / ``catalog`` / ``read`` /
   ``stats``, with typed error transport;
-* :class:`ReadDaemon` (:mod:`repro.serve.daemon`) — threaded accept loop,
-  per-connection workers, shared readers/cache/engine, per-request decode
-  accounting, graceful shutdown;
+* :class:`ReadDaemon` (:mod:`repro.serve.daemon`) — framed request
+  handling, tracing and dispatch over that lifecycle, shared
+  readers/cache/engine, per-request decode accounting;
 * :class:`RemoteStore` / :class:`RemoteArray` (:mod:`repro.serve.client`) —
   a :class:`~repro.serve.client.CatalogClient` and a
   :class:`repro.array.LazyArray` that add only the wire exchange, so existing

@@ -9,10 +9,11 @@ ROADMAP names after the lazy view API: a view query is plain data
 ``(field, step, level, compiled index)``, so serving it is framing, not new
 read logic.
 
-The socket machinery lives in :class:`WireDaemon`, a dispatch-agnostic base
-class (bind/accept loop, per-connection workers, framed request handling,
-request tracing, access logging, graceful shutdown).  :class:`ReadDaemon`
-plugs the store read path into it; the shard router
+The lifecycle and the socket machinery (bind, accept loop, per-connection
+workers, graceful shutdown) are :class:`repro.serve.service.ThreadedServer`;
+:class:`WireDaemon` adds the wire protocol on top of it — framed request
+handling, request tracing, access logging — and stays dispatch-agnostic.
+:class:`ReadDaemon` plugs the store read path into it; the shard router
 (:class:`repro.shard.RouterDaemon`) plugs a fan-out relay into the *same*
 base, so both ends of a routed request speak literally the same server code.
 
@@ -27,16 +28,15 @@ accounting (blocks touched / decoded / served from cache) is what the local
 view's read reports, so every ``read`` response says exactly what it cost —
 the numbers ``repro store read --remote`` prints.
 
-Shutdown is graceful: :meth:`WireDaemon.stop` closes the listener and every
-open connection, then joins the workers, so a test fixture (or ``repro
-serve`` under SIGINT) always exits cleanly.
+Shutdown is graceful: ``stop()`` closes the listener and every open
+connection, then joins the workers, so a test fixture (or ``repro serve``
+under SIGINT) always exits cleanly.
 """
 
 from __future__ import annotations
 
 import logging
 import socket
-import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -63,6 +63,7 @@ from repro.serve.protocol import (
     read_frame,
     send_frame,
 )
+from repro.serve.service import ThreadedServer
 
 __all__ = ["WireDaemon", "ReadDaemon", "parse_address"]
 
@@ -160,11 +161,12 @@ def _request_fields(header: Dict, response: Dict) -> Dict[str, Any]:
     return out
 
 
-class WireDaemon:
-    """Dispatch-agnostic framed-protocol server: the socket half of a daemon.
+class WireDaemon(ThreadedServer):
+    """Dispatch-agnostic framed-protocol server: the wire half of a daemon.
 
-    Owns the listener, the accept loop, per-connection worker threads, the
-    per-request trace/metric/log plumbing and graceful shutdown — everything
+    On top of :class:`~repro.serve.service.ThreadedServer` (lifecycle,
+    listener, accept loop, per-connection workers) this owns the
+    per-request frame/trace/metric/log plumbing — everything
     a :mod:`repro.serve.protocol` server needs except the meaning of a
     request.  Subclasses implement :meth:`_dispatch` (one request header in,
     one ``(response header, payload)`` out; every exception they let escape
@@ -190,8 +192,7 @@ class WireDaemon:
         request's accounting — visible even at the default verbosity.
     """
 
-    #: Thread name of the accept loop (overridden by subclasses for ps/py-spy).
-    _accept_thread_name = "repro-serve-accept"
+    _thread_name = "repro-serve"
 
     def __init__(
         self,
@@ -201,141 +202,15 @@ class WireDaemon:
         tracer=None,
         slow_ms: Optional[float] = None,
     ) -> None:
+        super().__init__(host=host, port=port, backlog=backlog)
         self.tracer = TRACER if tracer is None else tracer
         self.slow_ms = None if slow_ms is None else float(slow_ms)
-        self._host = str(host)
-        self._port = int(port)
-        self._backlog = int(backlog)
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        self._lock = threading.Lock()
-        self._collector_fns: list = []
-        self._connections: set = set()  # repro: guarded-by(_lock)
-        self._workers: list = []  # repro: guarded-by(_lock)
-        self._counters: Dict[str, int] = {  # repro: guarded-by(_lock)
-            "requests": 0,
-            "errors": 0,
-            "connections": 0,
-            "request_bytes_received": 0,
-        }
-
-    # -- lifecycle ------------------------------------------------------------
-    @property
-    def address(self) -> str:
-        """``host:port`` the daemon is bound to (after :meth:`start`)."""
-        if self._listener is None:
-            raise RuntimeError("daemon is not started; call start() first")
-        return f"{self._host}:{self._port}"
-
-    def _collectors(self) -> List[Callable]:
-        """Registry collectors to expose for the daemon's lifetime."""
-        return []
-
-    def start(self) -> str:
-        """Bind, spawn the accept loop and return the bound address."""
-        if self._listener is not None:
-            return self.address
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._port))
-        listener.listen(self._backlog)
-        self._host, self._port = listener.getsockname()[:2]
-        self._listener = listener
-        self._stop.clear()
-        # Expose the daemon's own accounting (and whatever shared machinery
-        # the subclass wraps) through the process-wide registry for the
-        # lifetime of the daemon; stop() unregisters, so a stopped daemon
-        # reports nothing.
-        self._collector_fns = [
-            REGISTRY.add_collector(fn, owner=self) for fn in self._collectors()
-        ]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=self._accept_thread_name, daemon=True
+        self._counters.update(
+            {"requests": 0, "errors": 0, "request_bytes_received": 0}
         )
-        self._accept_thread.start()
-        log.debug("daemon started", extra=access_extra(address=self.address))
-        return self.address
 
-    def serve_forever(self, timeout: Optional[float] = None) -> None:
-        """Start (if needed) and block until :meth:`stop` or ``timeout``."""
-        self.start()
-        self._stop.wait(timeout)
-
-    def request_stop(self) -> None:
-        """Unblock :meth:`serve_forever` without tearing anything down.
-
-        Does only an ``Event.set()``, so it is safe from a signal handler;
-        the caller then runs the full :meth:`stop` from normal context
-        (which is how ``repro serve`` exits cleanly on SIGTERM).
-        """
-        self._stop.set()
-
-    def stop(self, timeout: float = 5.0) -> None:
-        """Close the listener and every connection; join the workers."""
-        self._stop.set()
-        if self._listener is not None:
-            # shutdown() before close(): on Linux, close() alone does not
-            # wake a thread blocked in accept() — the join below would then
-            # burn its full timeout on every stop.
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._lock:
-            conns = list(self._connections)
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout)
-        with self._lock:
-            workers = list(self._workers)
-        for worker in workers:
-            worker.join(timeout)
-        for collect in self._collector_fns:
-            REGISTRY.remove_collector(collect)
-        self._collector_fns = []
-        self._listener = None
-        self._accept_thread = None
-
-    def __enter__(self) -> "WireDaemon":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    # -- accept / connection loops --------------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                break  # listener closed by stop()
-            with self._lock:
-                self._counters["connections"] += 1
-                self._connections.add(conn)
-                # Workers that already finished are reaped here, so the list
-                # stays proportional to the live connection count.
-                self._workers = [w for w in self._workers if w.is_alive()]
-                worker = threading.Thread(
-                    target=self._serve_connection, args=(conn,), daemon=True
-                )
-                self._workers.append(worker)
-            worker.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
+    # -- connection loop --------------------------------------------------------
+    def _serve_connection(self, conn: socket.socket, index: int) -> None:
         fh = _CountingStream(conn.makefile("rb"))
         try:
             peer = "%s:%s" % conn.getpeername()[:2]
@@ -373,12 +248,6 @@ class WireDaemon:
                 fh.close()
             except OSError:
                 pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-            with self._lock:
-                self._connections.discard(conn)
             log.debug("connection closed", extra=access_extra(peer=peer))
 
     def _handle_request(self, conn: socket.socket, header: Dict, peer: str) -> bool:
@@ -555,8 +424,8 @@ class ReadDaemon(WireDaemon):
             fns.append(engine_collector(self.store.engine))
         return fns
 
-    def stop(self, timeout: float = 5.0) -> None:
-        super().stop(timeout)
+    def _close(self, timeout: float) -> None:
+        super()._close(timeout)
         with self._lock:
             slots = list(self._readers.values())
             self._readers.clear()
@@ -565,7 +434,7 @@ class ReadDaemon(WireDaemon):
             self._close_slot(slot)
 
     def __repr__(self) -> str:
-        bound = f"at {self._host}:{self._port}" if self._listener else "(not started)"
+        bound = f"at {self._host}:{self._port}" if self._running else "(not started)"
         return f"ReadDaemon({self.store.root} {bound}, {len(self.store)} entries)"
 
     # -- request handling ------------------------------------------------------

@@ -105,7 +105,7 @@ class RouterDaemon(WireDaemon):
     pool_size:
         Backend connections per shard.  One connection serializes concurrent
         requests routed to the same shard; a handful lets them relay in
-        parallel (``bench_shard.py`` prices this).
+        parallel (``tests/test_serve_pool.py`` proves the overlap).
     breaker_threshold / breaker_cooldown:
         Per-shard circuit breaker policy: consecutive transport failures
         that trip it open, and seconds before a half-open probe is allowed.
@@ -116,7 +116,7 @@ class RouterDaemon(WireDaemon):
         waiting for client traffic.  ``0`` disables the prober.
     """
 
-    _accept_thread_name = "repro-shard-router-accept"
+    _thread_name = "repro-shard-router"
 
     def __init__(
         self,
@@ -159,9 +159,7 @@ class RouterDaemon(WireDaemon):
         )
 
     # -- lifecycle -------------------------------------------------------------
-    def start(self) -> str:
-        if self._listener is not None:
-            return self.address
+    def _open(self) -> None:
         # Dial one connection per shard before accepting clients.  Without
         # replicas a dead backend fails here, loudly — a misconfigured
         # topology should not serve.  With replicas the router *can* serve
@@ -182,16 +180,15 @@ class RouterDaemon(WireDaemon):
                     "shard unreachable at startup",
                     extra=access_extra(shard=spec.name, error=str(exc)),
                 )
-        address = super().start()
+        super()._open()
         if self.probe_interval > 0:
             self._probe_thread = threading.Thread(
                 target=self._probe_loop, name="repro-shard-router-prober", daemon=True
             )
             self._probe_thread.start()
-        return address
 
-    def stop(self, timeout: float = 5.0) -> None:
-        super().stop(timeout)
+    def _close(self, timeout: float) -> None:
+        super()._close(timeout)
         if self._probe_thread is not None:
             self._probe_thread.join(timeout)
             self._probe_thread = None
@@ -300,7 +297,7 @@ class RouterDaemon(WireDaemon):
                 log.info("shard recovered", extra=access_extra(shard=name))
 
     def __repr__(self) -> str:
-        bound = f"at {self._host}:{self._port}" if self._listener else "(not started)"
+        bound = f"at {self._host}:{self._port}" if self._running else "(not started)"
         return f"RouterDaemon({', '.join(self.shard_map.names())} {bound})"
 
     # -- request handling ------------------------------------------------------

@@ -34,6 +34,7 @@ def pytest_configure(config):
     import repro.serve.client  # noqa: F401
     import repro.serve.daemon  # noqa: F401
     import repro.serve.pool  # noqa: F401
+    import repro.serve.service  # noqa: F401
     import repro.chaos.proxy  # noqa: F401
     import repro.shard.breaker  # noqa: F401
     import repro.shard.router  # noqa: F401

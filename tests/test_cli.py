@@ -27,7 +27,7 @@ class TestCompressDecompress:
 
         assert main([
             "compress", str(path), str(out), "--codec", codec,
-            "--error-bound", str(eb), "--relative",
+            "--error-bound", str(eb), "--mode", "rel",
         ]) == 0
         assert out.exists()
         assert "ratio" in capsys.readouterr().out
@@ -43,7 +43,7 @@ class TestCompressDecompress:
         eb = 0.02
         main([
             "compress", str(path), str(out), "--codec", "zfp",
-            "--error-bound", str(eb), "--relative", "--postprocess",
+            "--error-bound", str(eb), "--mode", "rel", "--postprocess",
         ])
         raw_path = tmp_path / "raw.npy"
         post_path = tmp_path / "post.npy"
@@ -59,7 +59,7 @@ class TestCompressDecompress:
         path, _ = field_file
         out = tmp_path / "f.rpca"
         main(["compress", str(path), str(out), "--codec", "sz2", "--block-size", "4",
-              "--error-bound", "0.01", "--relative"])
+              "--error-bound", "0.01", "--mode", "rel"])
         capsys.readouterr()
         main(["info", str(out)])
         info = json.loads(capsys.readouterr().out)
@@ -71,7 +71,7 @@ class TestInfoAndEvaluate:
         path, field = field_file
         out = tmp_path / "field.rpca"
         main(["compress", str(path), str(out), "--codec", "sz3",
-              "--error-bound", "0.01", "--relative"])
+              "--error-bound", "0.01", "--mode", "rel"])
         capsys.readouterr()
         assert main(["info", str(out)]) == 0
         info = json.loads(capsys.readouterr().out)
@@ -198,40 +198,76 @@ class TestStoreCommands:
         with pytest.raises(SystemExit, match="bad daemon address"):
             main(["serve", str(root), "--addr", "nonsense"])
 
-    def test_serve_subprocess_sigterm_exits_cleanly(self, populated_store):
-        # The contract CI's smoke job relies on: a real `repro serve` process
-        # stops promptly with exit code 0 on SIGTERM, reporting its counters.
+    @pytest.mark.parametrize(
+        "verb", ["serve", "shard-serve", "gateway-root", "gateway-router", "chaos"]
+    )
+    def test_server_subprocess_sigterm_exits_cleanly(
+        self, verb, populated_store, serve_daemon, tmp_path
+    ):
+        # The contract CI's smoke jobs and bench/cluster.py rely on, for every
+        # long-running verb: the banner carries " at <host:port>", the server
+        # answers a client, SIGTERM stops it promptly with exit code 0 and a
+        # summary line, and so does a lapsed --seconds.
+        import json
         import os
+        import re
         import signal
         import subprocess
         import sys
+        import urllib.request
         from pathlib import Path
 
         import repro
+        from repro.serve import RemoteStore
+        from repro.shard import ShardMap, ShardSpec
 
         root, _ = populated_store
+        backend = serve_daemon.address  # serves "density", "plane", "amr"
+        topology = tmp_path / "topology.json"
+        ShardMap([ShardSpec("s0", backend)]).save(topology)
+        args, field, summary = {
+            "serve": (["serve", str(root)], "pressure", "daemon stopped after"),
+            "shard-serve": (["shard", "serve", str(topology)], "density", "router stopped after"),
+            "gateway-root": (["gateway", str(root)], None, "gateway stopped after"),
+            "gateway-router": (["gateway", "--router", backend], None, "gateway stopped after"),
+            "chaos": (
+                ["chaos", "127.0.0.1:0", backend, "--script", "pass"],
+                "density",
+                "chaos proxy stopped after",
+            ),
+        }[verb]
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parent.parent)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", str(root),
-             "--addr", "127.0.0.1:0", "--seconds", "60"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env, text=True,
-        )
+
+        def launch(seconds):
+            return subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", *args, "--seconds", seconds],
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env, text=True,
+            )
+
+        timed, proc = launch("0.3"), launch("60")
         try:
             banner = proc.stdout.readline()
-            assert "serving" in banner
-            address = banner.split(" at ")[1].split(" ")[0]
-            from repro.serve import RemoteStore
-
-            with RemoteStore(address) as client:
-                assert "pressure" in client.fields()
+            match = re.search(r" at (?:http://)?(\d+\.\d+\.\d+\.\d+:\d+)", banner)
+            assert match, banner
+            address = match.group(1)
+            if field is None:
+                with urllib.request.urlopen(f"http://{address}/health", timeout=10) as resp:
+                    assert json.load(resp)["ok"] is True
+            else:
+                with RemoteStore(address) as client:
+                    assert field in client.fields()
             proc.send_signal(signal.SIGTERM)
             out, _ = proc.communicate(timeout=15)
+            timed_out, _ = timed.communicate(timeout=15)
         finally:
-            if proc.poll() is None:
-                proc.kill()
+            for child in (proc, timed):
+                if child.poll() is None:
+                    child.kill()
         assert proc.returncode == 0
-        assert "daemon stopped" in out
+        assert summary in out
+        assert timed.returncode == 0
+        assert " at " in timed_out and summary in timed_out
 
     def test_store_read_bad_index_exits(self, populated_store, tmp_path):
         root, _ = populated_store

@@ -41,6 +41,16 @@ def test_lock_guard_honors_with_holds_and_unlocked():
     assert lint_paths([FIXTURES / "locks_good.py"]) == []
 
 
+def test_lock_guard_inherits_declarations_from_project_bases():
+    # The base declares the guarded field in one module, the subclass touches
+    # it unlocked in another: one finding, reported against the subclass.
+    findings = lint_paths([FIXTURES / "locks_inherit"])
+    assert [(f.rule, Path(f.path).name) for f in findings] == [("lock-guard", "sub.py")]
+    assert "'self._connections' is guarded by 'self._lock'" in findings[0].message
+    # Linted alone, the subclass has no declaration in sight.
+    assert lint_paths([FIXTURES / "locks_inherit" / "sub.py"]) == []
+
+
 # -- wire-protocol ---------------------------------------------------------------
 def test_wire_rule_reports_all_three_sides():
     findings = lint_paths([FIXTURES / "wire_bad"])
@@ -92,7 +102,6 @@ def test_hygiene_rules_flag_each_shape():
     findings = lint_paths([FIXTURES / "hygiene_bad.py"])
     assert _rule_ids(findings) == [
         "bare-except",
-        "deprecated-api",
         "mutable-default",
         "mutable-default",
         "unclosed-resource",

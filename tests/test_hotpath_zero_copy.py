@@ -5,7 +5,9 @@ destination path (bit-for-bit vs the block-list path, and genuinely
 temporary-free for the in-place codec), read-only shared-cache entries with
 honest ``bytes_resident`` accounting, the zero-copy ndarray wire codec and
 its ``copy=True`` escape hatch, scatter-gather frame writes being
-byte-identical to ``pack_frame``, and the daemon's debounced store refresh.
+byte-identical to ``pack_frame``, the daemon's debounced store refresh, and
+the two allocation bounds of the zero-copy design (``tracemalloc`` peaks of
+one cacheless local read and one warm remote read).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import io
 import socket
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +96,63 @@ class TestDecodeInto:
             engine.decode_blocks_into(payloads, outs)
             for a, b in zip(blocks, outs):
                 assert np.array_equal(a, b)
+
+
+# -- allocation bounds ------------------------------------------------------------
+
+
+class TestPeakMemory:
+    """What the zero-copy path may allocate, measured around one read each.
+
+    The field is 96^3 (6.75 MiB decoded) so that one payload-sized temporary
+    too many overshoots the bound: both bounds allow 25% plus a flat 2 MiB of
+    per-block fetch/plan bookkeeping over the allocations the design needs.
+    """
+
+    SLACK = 2 << 20
+
+    @pytest.fixture(scope="class")
+    def big_store(self, tmp_path_factory):
+        from repro.core.mr_compressor import MultiResolutionCompressor
+        from repro.store import Store
+
+        store = Store(
+            tmp_path_factory.mktemp("hotpath-peak") / "store",
+            MultiResolutionCompressor(unit_size=16),
+        )
+        store.append("f", 0, default_rng("hotpath-peak").standard_normal((96, 96, 96)), 1e-2)
+        return store
+
+    @staticmethod
+    def _traced_peak(read):
+        tracemalloc.start()
+        try:
+            result = read()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_cacheless_whole_level_read_allocates_one_output(self, big_store):
+        view = open_array(big_store.root / big_store.entry("f", 0).path)
+        view.cache = None  # direct decode-into path
+        view[:16, :16, :16]  # imports and codec plan caches, outside the traced read
+        full, peak = self._traced_peak(lambda: view[...])
+        # Blocks reconstruct inside the output array: one extra full-array
+        # temporary would blow straight through this.
+        assert peak <= full.nbytes * 1.25 + self.SLACK
+
+    def test_warm_remote_read_allocates_one_payload_per_side(self, big_store):
+        from repro.serve import ReadDaemon, RemoteStore
+
+        with ReadDaemon(big_store) as daemon, RemoteStore(daemon.address) as client:
+            remote = client["f", 0]
+            cold = remote[...]
+            # Warm: the daemon (same process, so traced too) assembles its
+            # result from cache and the client lands it in one receive buffer.
+            warm, peak = self._traced_peak(lambda: remote[...])
+        assert peak <= 2 * warm.nbytes * 1.25 + self.SLACK
+        assert warm.base is not None and not warm.flags.writeable
+        assert np.array_equal(warm, cold)
 
 
 # -- shared cache ---------------------------------------------------------------
