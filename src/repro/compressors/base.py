@@ -6,6 +6,19 @@ value-range-relative) point-wise error bound, returning an opaque buffer whose
 size defines the compression ratio, plus ``decompress`` back to the original
 shape.  A convenience :meth:`Compressor.roundtrip` bundles both directions
 with quality statistics, which is what every benchmark uses.
+
+The block store encodes every unit block of a level standalone, so the
+interface also has a batched form of each direction:
+:meth:`Compressor.compress_batch` takes a stack of same-shape blocks and one
+already-resolved absolute bound, :meth:`Compressor.decompress_batch` takes any
+list of payloads (optionally with destination windows).  Both default to a
+per-item loop over the single-array methods and must stay bit-for-bit equal
+to that loop; a codec overrides them only to share work across blocks
+(:class:`~repro.compressors.sz3.SZ3Compressor` does).
+
+The input domain is finite floating-point data: NaN and infinities have no
+error-bounded quantization, so both compress entry points refuse them with
+:class:`CompressionError` instead of storing garbage.
 """
 
 from __future__ import annotations
@@ -14,7 +27,7 @@ import json
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Type, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
@@ -98,28 +111,40 @@ class CompressedArray:
         return b"".join((self._header_bytes(), self.payload))
 
     @classmethod
-    def from_bytes(cls, blob: bytes) -> "CompressedArray":
+    def from_bytes(
+        cls, blob: bytes, headers: Optional[Dict[bytes, Dict[str, Any]]] = None
+    ) -> "CompressedArray":
         """Invert :meth:`to_bytes`.
 
         Accepts any bytes-like object.  Handed a ``memoryview`` — how the
         store's coalesced payload fetches arrive — the payload stays a
         zero-copy view into the caller's buffer; only the small JSON header
         is materialised.
+
+        ``headers`` is an optional caller-owned memo (header bytes → parsed
+        fields): the blocks of one level carry a handful of distinct headers,
+        so a reader decoding thousands of them parses each once.  Arrays
+        parsed through one memo share their ``metadata`` dict — read it, do
+        not edit it.
         """
         if bytes(blob[:4]) != _HEADER_MAGIC:
             raise DecompressionError("not a CompressedArray blob (bad magic)")
         (length,) = struct.unpack_from("<I", blob, 4)
-        meta = json.loads(bytes(blob[8 : 8 + length]).decode("utf-8"))
-        payload = blob[8 + length :]
-        return cls(
-            codec=meta["codec"],
-            payload=payload,
-            shape=tuple(meta["shape"]),
-            dtype=meta["dtype"],
-            error_bound=float(meta["error_bound"]),
-            nbytes_original=int(meta["nbytes_original"]),
-            metadata=meta.get("metadata", {}),
-        )
+        header = bytes(blob[8 : 8 + length])
+        fields = None if headers is None else headers.get(header)
+        if fields is None:
+            meta = json.loads(header.decode("utf-8"))
+            fields = {
+                "codec": meta["codec"],
+                "shape": tuple(meta["shape"]),
+                "dtype": meta["dtype"],
+                "error_bound": float(meta["error_bound"]),
+                "nbytes_original": int(meta["nbytes_original"]),
+                "metadata": meta.get("metadata", {}),
+            }
+            if headers is not None:
+                headers[header] = fields
+        return cls(payload=blob[8 + length :], **fields)
 
 
 @dataclass
@@ -169,11 +194,7 @@ class Compressor(ABC):
             form), resolved against ``data``; a bare float is an absolute
             bound.
         """
-        arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-        if arr.ndim not in (1, 2, 3):
-            raise CompressionError(f"{self.name} supports 1-3 dimensional data, got {arr.ndim}D")
-        if arr.size == 0:
-            raise CompressionError("cannot compress an empty array")
+        arr = self._checked_input(data)
         try:
             spec = ErrorBound.coerce(error_bound)
         except ValueError as exc:
@@ -181,25 +202,88 @@ class Compressor(ABC):
         eb = float(spec.resolve(arr))
         if eb <= 0:
             raise CompressionError("error bound must be strictly positive")
-        payload, metadata = self._compress_impl(arr, eb)
-        return CompressedArray(
-            codec=self.name,
-            payload=payload,
-            shape=arr.shape,
-            dtype=str(data.dtype if isinstance(data, np.ndarray) else arr.dtype),
-            error_bound=eb,
-            nbytes_original=arr.size * 8,
-            metadata=metadata,
-        )
+        return self._package(data, arr, eb, [self._compress_impl(arr, eb)])[0]
 
-    def decompress(self, compressed: CompressedArray) -> np.ndarray:
-        """Reconstruct the array from a :class:`CompressedArray`."""
+    def compress_batch(self, blocks: np.ndarray, abs_bound: float) -> List[CompressedArray]:
+        """Compress a stack of same-shape blocks, each into a standalone payload.
+
+        ``blocks`` is an ``(N, *shape)`` array; the result is element for
+        element what ``[compress(b, abs_bound) for b in blocks]`` returns,
+        byte for byte.  The bound is absolute and already resolved — a
+        relative spec resolved per block would silently mean a different
+        bound for each.
+        """
+        stack = self._checked_input(blocks, stacked=True)
+        eb = float(abs_bound)
+        if not eb > 0:
+            raise CompressionError("error bound must be strictly positive")
+        if not len(stack):
+            return []
+        return self._package(blocks, stack[0], eb, self._compress_stack(stack, eb))
+
+    def _checked_input(self, data, stacked: bool = False) -> np.ndarray:
+        """``data`` as contiguous float64, or the typed refusal: the one gate
+        both compress entry points pass."""
+        arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+        shape = arr.shape[1:] if stacked else arr.shape
+        if len(shape) not in (1, 2, 3):
+            raise CompressionError(
+                f"{self.name} supports 1-3 dimensional data, got {len(shape)}D"
+            )
+        if 0 in shape:
+            raise CompressionError("cannot compress an empty array")
+        if not np.isfinite(arr).all():
+            raise CompressionError(
+                "input contains NaN or infinite values; the codec's domain is finite data"
+            )
+        return arr
+
+    def _package(self, data, arr: np.ndarray, eb: float, encoded) -> List[CompressedArray]:
+        dtype = str(data.dtype if isinstance(data, np.ndarray) else arr.dtype)
+        return [
+            CompressedArray(
+                codec=self.name,
+                payload=payload,
+                shape=arr.shape,
+                dtype=dtype,
+                error_bound=eb,
+                nbytes_original=arr.size * 8,
+                metadata=metadata,
+            )
+            for payload, metadata in encoded
+        ]
+
+    def _check_codec(self, compressed: CompressedArray) -> None:
         if compressed.codec != self.name:
             raise DecompressionError(
                 f"payload was produced by {compressed.codec!r}, not {self.name!r}"
             )
+
+    def decompress(self, compressed: CompressedArray) -> np.ndarray:
+        """Reconstruct the array from a :class:`CompressedArray`."""
+        self._check_codec(compressed)
         out = self._decompress_impl(compressed)
         return out.reshape(compressed.shape)
+
+    def decompress_batch(
+        self,
+        items: Sequence[CompressedArray],
+        outs: Optional[Sequence[np.ndarray]] = None,
+        srcs: Optional[Sequence] = None,
+    ) -> Sequence[np.ndarray]:
+        """Reconstruct many payloads; shapes may differ from item to item.
+
+        Without ``outs`` the result is ``[decompress(c) for c in items]`` —
+        each array owns its memory, so a cache may keep one and drop its
+        neighbours.  With ``outs``, item *i* is reconstructed into ``outs[i]``
+        (restricted to the ``srcs[i]`` window when given) exactly as
+        :meth:`decompress_into` would, and ``outs`` is returned.
+        """
+        if outs is None:
+            return [self.decompress(compressed) for compressed in items]
+        for i, compressed in enumerate(items):
+            self.decompress_into(compressed, outs[i], None if srcs is None else srcs[i])
+        return outs
 
     def decompress_into(
         self, compressed: CompressedArray, out: np.ndarray, src=None
@@ -214,10 +298,7 @@ class Compressor(ABC):
         temporary); others fall back to decode-then-copy, so the call is
         always correct and at worst costs what the two-step path did.
         """
-        if compressed.codec != self.name:
-            raise DecompressionError(
-                f"payload was produced by {compressed.codec!r}, not {self.name!r}"
-            )
+        self._check_codec(compressed)
         if src is None and tuple(out.shape) == tuple(compressed.shape):
             result = self._decompress_into_impl(compressed, out)
             if result is None:  # codec reconstructed in place
@@ -263,6 +344,11 @@ class Compressor(ABC):
     @abstractmethod
     def _compress_impl(self, data: np.ndarray, error_bound: float):
         """Return ``(payload_bytes, metadata_dict)``."""
+
+    def _compress_stack(self, stack: np.ndarray, error_bound: float) -> List[Tuple[bytes, Dict]]:
+        """``(payload_bytes, metadata_dict)`` per block of an ``(N, *shape)``
+        stack; the default encodes them one by one."""
+        return [self._compress_impl(block, error_bound) for block in stack]
 
     @abstractmethod
     def _decompress_impl(self, compressed: CompressedArray) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
@@ -42,21 +43,26 @@ class InterpolationStep:
     ``target`` selects (as a tuple of slices) the points predicted in this
     step; the same slices are valid on the original and the reconstructed
     array because the traversal is defined purely by the array shape.
+    ``size`` is how many points that is — the length of the step's segment
+    of the quantization-code stream.
     """
 
     level: int
     axis: int
     target: Tuple[slice, ...]
+    size: int
 
 
 @dataclass(frozen=True)
 class InterpolationPlan:
-    """Full traversal: anchor slices, ordered steps and the level count."""
+    """Full traversal: anchor slices, ordered steps, the level count and the
+    length of the whole quantization-code stream (every non-anchor point)."""
 
     shape: Tuple[int, ...]
     max_level: int
     anchor: Tuple[slice, ...]
     steps: Tuple[InterpolationStep, ...]
+    n_codes: int
 
     @property
     def anchor_stride(self) -> int:
@@ -64,7 +70,7 @@ class InterpolationPlan:
 
     def n_targets(self, step: InterpolationStep) -> int:
         """Number of points predicted by ``step`` (needed by the decoder)."""
-        return int(np.prod([_slice_len(sl, n) for sl, n in zip(step.target, self.shape)]))
+        return step.size
 
 
 def _slice_len(sl: slice, n: int) -> int:
@@ -90,8 +96,13 @@ def max_interpolation_level(shape: Tuple[int, ...]) -> int:
     return max(1, int(math.ceil(math.log2(max(m - 1, 1)))))
 
 
+@lru_cache(maxsize=256)
 def build_plan(shape: Tuple[int, ...]) -> InterpolationPlan:
-    """Build the deterministic interpolation traversal for ``shape``."""
+    """The deterministic interpolation traversal for ``shape``.
+
+    Memoised: a plan depends on nothing but the shape and is immutable, so
+    the thousands of equal-shaped unit blocks of a level share one.
+    """
     shape = tuple(int(s) for s in shape)
     if any(s <= 0 for s in shape):
         raise ValueError(f"invalid shape {shape}")
@@ -112,11 +123,19 @@ def build_plan(shape: Tuple[int, ...]) -> InterpolationPlan:
                     target.append(slice(s, None, 2 * s))
                 else:
                     target.append(slice(0, None, 2 * s))
-            step = InterpolationStep(level=level, axis=axis, target=tuple(target))
+            size = math.prod(_slice_len(sl, n) for sl, n in zip(target, shape))
             # Skip degenerate steps with no targets (very anisotropic shapes).
-            if all(_slice_len(sl, n) > 0 for sl, n in zip(step.target, shape)):
-                steps.append(step)
-    return InterpolationPlan(shape=shape, max_level=max_level, anchor=anchor, steps=tuple(steps))
+            if size:
+                steps.append(
+                    InterpolationStep(level=level, axis=axis, target=tuple(target), size=size)
+                )
+    return InterpolationPlan(
+        shape=shape,
+        max_level=max_level,
+        anchor=anchor,
+        steps=tuple(steps),
+        n_codes=sum(step.size for step in steps),
+    )
 
 
 def predict_step(
@@ -124,51 +143,56 @@ def predict_step(
 ) -> np.ndarray:
     """Predict the target points of ``step`` from already-reconstructed points.
 
-    Returns an array with the shape of ``recon[step.target]``.  Interior
-    points are interpolated (linearly or with the 4-point cubic kernel); the
-    trailing points without an upper neighbour are extrapolated from the lower
-    neighbour (constant extrapolation), reproducing original SZ3 behaviour.
+    ``recon`` is one array of the plan's shape or a stack of them — any
+    leading axes are carried through, so ``(N, *shape)`` predicts N arrays in
+    one call.  Returns an array with the shape of ``recon[..., *step.target]``.
+    Interior points are interpolated (linearly or with the 4-point cubic
+    kernel); the trailing points without an upper neighbour are extrapolated
+    from the lower neighbour (constant extrapolation), reproducing original
+    SZ3 behaviour.
     """
     if mode not in INTERPOLATION_MODES:
         raise ValueError(f"mode must be one of {INTERPOLATION_MODES}, got {mode!r}")
-    axis = step.axis
     s = 1 << (step.level - 1)
+    target = step.target
+    trailing = (slice(None),) * (len(target) - 1 - step.axis)
+    axis = -1 - len(trailing)  # the step's axis, counted from the end
 
-    target_view = recon[step.target]
-    n_t = target_view.shape[axis]
+    def along(start: int, stop: int) -> Tuple:
+        return (Ellipsis, slice(start, stop)) + trailing
+
+    # Coarse-grid neighbours along the axis: positions 0, 2s, 4s, ...
+    coarse = target[: step.axis] + (slice(0, None, 2 * s),) + target[step.axis + 1 :]
+    co = recon[(Ellipsis,) + coarse].astype(np.float64, copy=False)
+    n_c = co.shape[axis]
+    n_t = _slice_len(target[step.axis], recon.shape[axis])
+    shape = list(co.shape)
+    shape[axis] = n_t
+    pred = np.empty(shape, dtype=np.float64)
     if n_t == 0:
-        return np.empty(target_view.shape, dtype=np.float64)
-
-    # Coarse-grid neighbours along `axis`: positions 0, 2s, 4s, ...
-    coarse_slices = list(step.target)
-    coarse_slices[axis] = slice(0, None, 2 * s)
-    coarse = recon[tuple(coarse_slices)]
-
-    co = np.moveaxis(coarse, axis, 0).astype(np.float64, copy=False)
-    n_c = co.shape[0]
-    pred_m = np.empty((n_t,) + co.shape[1:], dtype=np.float64)
+        return pred
 
     # Linear interpolation wherever the upper neighbour exists.
     n_lin = min(n_t, n_c - 1)
     if n_lin > 0:
-        pred_m[:n_lin] = 0.5 * (co[:n_lin] + co[1 : n_lin + 1])
+        pred[along(0, n_lin)] = 0.5 * (co[along(0, n_lin)] + co[along(1, n_lin + 1)])
     # Constant extrapolation from the lower neighbour for the remainder.
     if n_lin < n_t:
-        pred_m[n_lin:n_t] = co[n_lin:n_t]
+        pred[along(n_lin, n_t)] = co[along(n_lin, n_t)]
 
     # Cubic refinement on interior targets with two neighbours on each side.
     if mode == "cubic" and n_c >= 4:
         m0 = 1
         m1 = min(n_t, n_c - 2)
         if m1 > m0:
-            pred_m[m0:m1] = (
-                -co[m0 - 1 : m1 - 1]
-                + 9.0 * co[m0:m1]
-                + 9.0 * co[m0 + 1 : m1 + 1]
-                - co[m0 + 2 : m1 + 2]
+            pred[along(m0, m1)] = (
+                -co[along(m0 - 1, m1 - 1)]
+                + 9.0 * co[along(m0, m1)]
+                + 9.0 * co[along(m0 + 1, m1 + 1)]
+                - co[along(m0 + 2, m1 + 2)]
             ) / 16.0
 
-    return np.moveaxis(pred_m, 0, axis)
+    return pred
 
 
 def count_extrapolated_points(shape: Tuple[int, ...]) -> int:

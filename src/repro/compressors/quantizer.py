@@ -78,7 +78,10 @@ class LinearQuantizer:
 
         step = 2.0 * float(error_bound)
         residual = values - predictions
-        codes = np.rint(residual / step).astype(np.int64)
+        # A quotient beyond int64 (a bound ~2^63 times smaller than the
+        # residual) casts to garbage; the drift check below escapes it.
+        with np.errstate(invalid="ignore"):
+            codes = np.rint(residual / step).astype(np.int64)
         recon = predictions + codes * step
 
         # Escape values whose code overflows the range or whose reconstruction

@@ -275,12 +275,13 @@ class MultiResolutionCompressor:
     ) -> List[CompressedArray]:
         """Encode every unit block into its own standalone payload, serially.
 
-        For pool-backed batch encoding use
+        One :meth:`~repro.compressors.base.Compressor.compress_batch` call:
+        the blocks share a shape, so a codec with a batched kernel predicts
+        and quantises them together.  For pool-backed encoding use
         :class:`repro.store.engine.CodecEngine`, which rebuilds this codec in
         its workers from :meth:`codec_spec`.
         """
-        eb = float(error_bound)
-        return [self._codec.compress(block, eb) for block in block_set.blocks]
+        return self._codec.compress_batch(block_set.blocks, float(error_bound))
 
     def decode_unit_block(self, compressed: CompressedArray) -> np.ndarray:
         """Decode one standalone unit-block payload back to its array."""

@@ -1,25 +1,36 @@
 """Parallel codec engine: batched block encode/decode through a pool.
 
 Per-block encoding is embarrassingly parallel but the blocks are small
-(a 16^3 float64 block is 32 KiB), so submitting them one at a time to a
-process pool drowns the work in pickling and task dispatch.  The engine
-therefore *chunks* the blocks — each pool task encodes a contiguous slice of
-the block array with a codec rebuilt once per chunk — and flattens the
-results back into file order.  The same batching drives decode, so
-random-access reads that touch many blocks also scale with cores.
+(a 16^3 float64 block is 32 KiB, a 4^3 block 512 bytes), so the cost of a
+level is per-block overhead, not arithmetic.  Two things keep it down:
+
+* **The codec batches.**  A chunk of blocks is one
+  :meth:`~repro.compressors.base.Compressor.compress_batch` /
+  :meth:`~repro.compressors.base.Compressor.decompress_batch` call, so a codec
+  with a batched kernel (SZ3) predicts and quantises the whole chunk together
+  and only its entropy stage runs per block.  On the way in, each *distinct*
+  payload header is parsed once per call (the blocks of a level differ in
+  ``n_unpredictable`` only), and the codec stacks the payloads whose
+  decode-relevant fields agree.
+* **The engine chunks.**  Each pool task takes a contiguous slice of the
+  blocks with a codec rebuilt once per chunk, and the results are flattened
+  back into file order — submitting blocks one at a time to a process pool
+  would drown the work in pickling and task dispatch.
 
 The workers are module-level functions operating on plain picklable data
-(codec registry name + options, NumPy block arrays, payload byte strings),
-which is what allows the ``"process"`` executor; ``"thread"`` suits codecs
-that release the GIL, and ``"serial"`` is the zero-overhead default used by
-tests and single-core hosts.
+(codec registry name + options, NumPy block arrays, payload byte strings) and
+keep no state between calls, which is what allows the ``"process"`` executor;
+``"thread"`` suits codecs that release the GIL, and ``"serial"`` is the
+zero-overhead default used by tests and single-core hosts.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import groupby
+from operator import attrgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,8 +40,8 @@ from repro.obs import REGISTRY
 
 __all__ = ["CodecEngine", "decode_payloads", "decode_payloads_into"]
 
-#: Whole-batch encode/decode latency per backend: the number the upcoming
-#: codec-kernel work must move, broken down the way it will be optimised.
+#: Whole-batch encode/decode latency per backend — what one public call
+#: costs once the codec has batched it, so backends can be compared per op.
 _BATCH_SECONDS = REGISTRY.histogram(
     "repro_engine_batch_seconds",
     "Codec engine batch latency (one public encode/decode call).",
@@ -45,7 +56,7 @@ def _encode_chunk(task: Tuple[str, dict, float, np.ndarray]) -> List[bytes]:
     """Worker: encode a chunk of unit blocks into standalone payload blobs."""
     kind, options, error_bound, blocks = task
     codec = get_compressor(kind, **options)
-    return [codec.compress(block, error_bound).to_bytes() for block in blocks]
+    return [compressed.to_bytes() for compressed in codec.compress_batch(blocks, error_bound)]
 
 
 def _decode_into_chunk(task) -> list:
@@ -55,22 +66,38 @@ def _decode_into_chunk(task) -> list:
     return []
 
 
+def _codec_runs(
+    payloads: Sequence[bytes],
+) -> Iterator[Tuple[Compressor, int, List[CompressedArray]]]:
+    """Parse payload blobs and yield ``(codec, start, items)`` per maximal run
+    of consecutive payloads of one codec — for a container, one run.
+
+    The blocks of a level carry a handful of distinct headers (they differ in
+    ``n_unpredictable`` only), so each distinct header byte string is parsed
+    once; the memo lives for this call alone.
+    """
+    headers: Dict[bytes, dict] = {}
+    items = [CompressedArray.from_bytes(blob, headers) for blob in payloads]
+    start = 0
+    for name, run in groupby(items, key=attrgetter("codec")):
+        run = list(run)
+        yield get_compressor(name), start, run
+        start += len(run)
+
+
 def decode_payloads(payloads: Sequence[bytes]) -> List[np.ndarray]:
     """Decode standalone per-block payload blobs back to block arrays.
 
-    The single serial decode loop shared by the engine's pool workers and by
+    The single decode entry shared by the engine's pool workers and by
     engine-less readers (:class:`~repro.store.format.ContainerReader`), so
-    decode semantics cannot diverge between the two paths.  Module-level and
-    picklable on purpose: it doubles as the process-pool chunk worker.
+    decode semantics cannot diverge between the two paths.  Each run of one
+    codec is one :meth:`~repro.compressors.base.Compressor.decompress_batch`
+    call; every returned block owns its memory.  Module-level and picklable
+    on purpose: it doubles as the process-pool chunk worker.
     """
-    codecs: Dict[str, Compressor] = {}
-    out = []
-    for blob in payloads:
-        compressed = CompressedArray.from_bytes(blob)
-        codec = codecs.get(compressed.codec)
-        if codec is None:
-            codec = codecs[compressed.codec] = get_compressor(compressed.codec)
-        out.append(codec.decompress(compressed))
+    out: List[np.ndarray] = []
+    for codec, _, items in _codec_runs(payloads):
+        out.extend(codec.decompress_batch(items))
     return out
 
 
@@ -83,20 +110,18 @@ def decode_payloads_into(
 
     ``outs[i]`` receives the reconstruction of ``payloads[i]`` — restricted
     to the ``srcs[i]`` source window when given (edge blocks paste only their
-    overlap).  Codecs implementing the in-place hook reconstruct inside the
-    destination view with no per-block temporary; others decode then copy,
-    so the two entry points are always bit-for-bit identical.  Module-level
-    and loop-shaped like :func:`decode_payloads` on purpose: it is the
-    thread-pool chunk worker for :meth:`CodecEngine.decode_blocks_into`.
+    overlap).  Small blocks are reconstructed as a bounded stack and pasted,
+    a block too large to stack reconstructs inside its destination view, and
+    codecs without a batched kernel decode then copy, so the two entry
+    points are always bit-for-bit identical.  Module-level like
+    :func:`decode_payloads` on purpose: it is the thread-pool chunk worker
+    for :meth:`CodecEngine.decode_blocks_into`.
     """
-    codecs: Dict[str, Compressor] = {}
-    for i, blob in enumerate(payloads):
-        compressed = CompressedArray.from_bytes(blob)
-        codec = codecs.get(compressed.codec)
-        if codec is None:
-            codec = codecs[compressed.codec] = get_compressor(compressed.codec)
-        codec.decompress_into(
-            compressed, outs[i], src=None if srcs is None else srcs[i]
+    for codec, start, items in _codec_runs(payloads):
+        stop = start + len(items)
+        # Sliced, not listified: the windows may be a lazy sequence.
+        codec.decompress_batch(
+            items, outs[start:stop], None if srcs is None else srcs[start:stop]
         )
 
 

@@ -561,11 +561,11 @@ class ContainerReader:
         info = self.level_info(level)
         positions = self._index.select(info.level, info.ndim, region)
         coords = self._index.coords[positions, : info.ndim]
-        decoded = self.decode_entries(positions)
-        if decoded:
-            blocks = np.stack(decoded, axis=0)
-        else:
-            blocks = np.empty((0,) + (info.unit_size,) * info.ndim, dtype=np.float64)
+        # Decoded straight into the stacked result: blocks[i] is outs[i].
+        blocks = np.empty(
+            (len(positions),) + (info.unit_size,) * info.ndim, dtype=np.float64
+        )
+        self.decode_entries_into(positions, blocks)
         return UnitBlockSet(
             blocks=blocks,
             coords=coords.astype(np.int64),
