@@ -97,7 +97,6 @@ def decompress(source):
 def open_store(
     root: Union[str, Path],
     codec: Optional[Union["CodecSpec", Mapping]] = None,
-    engine=None,
 ):
     """Open (or create) a :class:`repro.store.Store` directory.
 
@@ -112,14 +111,13 @@ def open_store(
     if codec is not None:
         spec = CodecSpec.from_dict(codec) if isinstance(codec, Mapping) else codec
         compressor = spec.build()
-    return Store(root, compressor, engine=engine)
+    return Store(root, compressor)
 
 
 def open_array(
     path: Union[str, Path],
     level: int = 0,
     fill_value: float = 0.0,
-    engine=None,
 ):
     """Open one ``.rps2`` block container as a lazy NumPy-style view.
 
@@ -129,7 +127,7 @@ def open_array(
     """
     from repro.array import open_array as _open_array
 
-    return _open_array(path, level=level, fill_value=fill_value, engine=engine)
+    return _open_array(path, level=level, fill_value=fill_value)
 
 
 def connect(addr, timeout: float = 30.0, retries: int = 0, backoff: float = 0.05):

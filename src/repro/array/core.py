@@ -18,9 +18,8 @@ subclass for exactly two things:
 :class:`CompressedArray` is the local family: its ``_read`` compiles the
 index expression (:mod:`repro.array.indexing`) into the same bbox/block
 arithmetic every store query uses (:mod:`repro.store.query`), decodes **only
-the intersecting blocks** — batched through the container's
-:class:`~repro.store.engine.CodecEngine` when one is attached — and pastes
-them into the result, consulting a bounded
+the intersecting blocks** — the misses of one read as one codec batch — and
+pastes them into the result, consulting a bounded
 :class:`~repro.array.cache.BlockCache` so revisited blocks decode once.  The
 served families (:mod:`repro.serve`, :mod:`repro.gateway`) ship the selector
 instead, and the daemon at the far end hands it to a :class:`CompressedArray`.
@@ -97,9 +96,8 @@ Geometry = Mapping[int, Tuple[Tuple[int, ...], int]]
 class ContainerSource:
     """Block source over a :class:`~repro.store.format.ContainerReader`.
 
-    Decoding goes through the reader, so its ``stats`` accounting (and its
-    attached engine, when present) applies to lazy reads exactly as to the
-    classic query methods.
+    Decoding goes through the reader, so its ``stats`` accounting applies to
+    lazy reads exactly as to the classic query methods.
     """
 
     def __init__(self, reader) -> None:
@@ -513,18 +511,16 @@ def open_array(
     path: Union[str, Path],
     level: int = 0,
     fill_value: float = 0.0,
-    engine=None,
     cache: Optional[BlockCache] = None,
 ) -> CompressedArray:
     """Open a ``.rps2`` block container as a lazy view (two small reads).
 
-    ``engine`` batches block decodes through a
-    :class:`~repro.store.engine.CodecEngine`; ``cache`` defaults to a fresh
-    bounded :class:`BlockCache` shared by all levels of the view.
+    ``cache`` defaults to a fresh bounded :class:`BlockCache` shared by all
+    levels of the view.
     """
     from repro.store.format import ContainerReader
 
-    reader = ContainerReader(path, engine=engine)
+    reader = ContainerReader(path)
     return CompressedArray(
         ContainerSource(reader),
         level=level,

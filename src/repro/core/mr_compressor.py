@@ -199,9 +199,9 @@ class MultiResolutionCompressor:
     def codec_spec(self) -> Tuple[str, Dict]:
         """Registry name and resolved constructor options of the codec.
 
-        The pair is plain picklable data, so a worker process (or the
-        :mod:`repro.store` codec engine) can rebuild an identical codec with
-        ``get_compressor(kind, **options)`` without shipping this object.
+        The pair is plain data, so :class:`repro.store.engine.CodecEngine`
+        can rebuild an identical codec with ``get_compressor(kind,
+        **options)`` without holding this object.
         """
         return self.compressor_kind, dict(self._codec_options)
 
@@ -273,13 +273,11 @@ class MultiResolutionCompressor:
     def encode_unit_blocks(
         self, block_set: UnitBlockSet, error_bound: float
     ) -> List[CompressedArray]:
-        """Encode every unit block into its own standalone payload, serially.
+        """Encode every unit block into its own standalone payload.
 
         One :meth:`~repro.compressors.base.Compressor.compress_batch` call:
         the blocks share a shape, so a codec with a batched kernel predicts
-        and quantises them together.  For pool-backed encoding use
-        :class:`repro.store.engine.CodecEngine`, which rebuilds this codec in
-        its workers from :meth:`codec_spec`.
+        and quantises them together.
         """
         return self._codec.compress_batch(block_set.blocks, float(error_bound))
 

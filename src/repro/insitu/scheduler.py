@@ -1,83 +1,38 @@
-"""Scheduling helpers (the offline stand-in for OpenMP / MPI ranks).
+"""Scheduling helper (the offline stand-in for OpenMP / MPI ranks).
 
 The paper accelerates post-processing and the block-wise compressors with
 OpenMP; in Python the equivalent for NumPy-heavy work (which releases the GIL
-inside vectorised kernels) is a thread pool, and for pure-Python encode loops
-(Huffman coding, per-block bookkeeping) a process pool.  ``parallel_map``
-keeps the submission order of results and degrades gracefully to a serial
-loop for one worker, so the serial-vs-parallel rows of Table IX can be
-produced with the same code path.
-
-Executor backends
------------------
-``executor="thread"``
-    :class:`concurrent.futures.ThreadPoolExecutor`; best when ``fn`` spends
-    its time inside NumPy / zlib (both release the GIL).
-``executor="process"``
-    :class:`concurrent.futures.ProcessPoolExecutor`; ``fn`` and every item
-    must be picklable (module-level functions, plain data).  This is the
-    backend the :mod:`repro.store` codec engine uses for CPU-bound
-    per-block encoding.
-``executor="serial"``
-    Plain loop, zero pool overhead; also chosen automatically for one worker
-    or one item.
+inside vectorised kernels) is a thread pool.  ``parallel_map`` keeps the
+submission order of results and degrades to a plain loop for one worker, so
+the serial-vs-parallel rows of Table IX can be produced with the same code
+path.  Its caller is :class:`~repro.insitu.pipeline.InSituPipeline`, which
+encodes the merged arrays of a hierarchy's levels side by side; the block
+store does not use it (a level's unit blocks are one batched codec call).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Iterable, List, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-__all__ = ["parallel_map", "default_workers", "EXECUTORS"]
-
-EXECUTORS = ("serial", "thread", "process")
-
-
-def default_workers() -> int:
-    """Number of workers to use by default (all available cores)."""
-    return max(1, os.cpu_count() or 1)
+__all__ = ["parallel_map"]
 
 
 def parallel_map(
     fn: Callable[[T], R],
     items: Sequence[T] | Iterable[T],
-    max_workers: Optional[int] = None,
-    executor: str = "thread",
-    chunksize: Optional[int] = None,
+    max_workers: int,
 ) -> List[R]:
-    """Apply ``fn`` to every item, preserving order.
+    """Apply ``fn`` to every item on a thread pool, preserving order.
 
-    ``max_workers=1`` (or a single item, or ``executor="serial"``) runs
-    serially with zero pool overhead; otherwise the requested executor
-    backend is used.  Exceptions raised by ``fn`` propagate to the caller.
-
-    Parameters
-    ----------
-    fn:
-        Callable applied to each item.  With ``executor="process"`` it must
-        be picklable (a module-level function, not a lambda or closure).
-    items:
-        Work items; consumed into a list so results keep submission order.
-    max_workers:
-        Pool size; defaults to :func:`default_workers`.
-    executor:
-        ``"serial"``, ``"thread"`` (default) or ``"process"``.
-    chunksize:
-        Items handed to a process worker per task (process backend only);
-        larger chunks amortise pickling overhead for many small items.
+    ``max_workers=1`` (or a single item) runs serially with zero pool
+    overhead.  Exceptions raised by ``fn`` propagate to the caller.
     """
-    if executor not in EXECUTORS:
-        raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
     items = list(items)
-    workers = default_workers() if max_workers is None else int(max_workers)
-    if executor == "serial" or workers <= 1 or len(items) <= 1:
+    if max_workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    if executor == "process":
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items, chunksize=chunksize or 1))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(fn, items))

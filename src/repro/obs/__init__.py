@@ -7,7 +7,7 @@ gives the process one telemetry surface:
   registry of :class:`Counter` / :class:`Gauge` / :class:`Histogram`
   instruments with label support, plus *collector* adapters
   (:mod:`repro.obs.collectors`) that expose the accounting the cache,
-  readers, engine and daemon already keep.  ``REGISTRY.snapshot()`` is plain
+  readers and daemon already keep.  ``REGISTRY.snapshot()`` is plain
   JSON-able data; :func:`render_prometheus` turns a snapshot into
   Prometheus text (``repro stats ADDR --prom`` scrapes exactly this).
 * **Tracing** (:mod:`repro.obs.tracing`) — lightweight spans
@@ -38,7 +38,6 @@ Quick tour::
 from repro.obs.collectors import (
     cache_collector,
     counter_family,
-    engine_collector,
     gauge_family,
     reader_stats_family,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "current_trace",
     "format_trace",
     "cache_collector",
-    "engine_collector",
     "reader_stats_family",
     "counter_family",
     "gauge_family",

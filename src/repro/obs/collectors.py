@@ -1,6 +1,6 @@
 """Collector adapters over the accounting the read path already keeps.
 
-The cache, the container readers, the codec engine and the daemon each grew
+The cache, the container readers and the daemon each grew
 their own counters PR by PR; these adapters expose them as registry metric
 families *at snapshot time* instead of mirroring every increment — no second
 set of counters to keep consistent, no write amplification on the hot path.
@@ -15,7 +15,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 
 __all__ = [
     "cache_collector",
-    "engine_collector",
     "reader_stats_family",
     "counter_family",
     "gauge_family",
@@ -70,28 +69,6 @@ def cache_collector(cache, labels: Optional[Mapping[str, str]] = None) -> Callab
             gauge_family("repro_cache_bytes_resident",
                          "Bytes the cache entries actually pin in memory.",
                          stats["bytes_resident"], labels),
-        ]
-
-    return collect
-
-
-def engine_collector(engine, labels: Optional[Mapping[str, str]] = None) -> Callable:
-    """Wrap a :class:`repro.store.engine.CodecEngine`'s batch counters."""
-    base = dict(labels or {})
-    base.setdefault("backend", engine.executor)
-
-    def collect() -> List[Dict[str, Any]]:
-        stats = engine.stats
-        return [
-            counter_family("repro_engine_batches_total",
-                           "Encode/decode batches submitted to the codec engine.",
-                           stats["encode_batches"] + stats["decode_batches"], base),
-            counter_family("repro_engine_blocks_encoded_total",
-                           "Unit blocks encoded through the codec engine.",
-                           stats["blocks_encoded"], base),
-            counter_family("repro_engine_blocks_decoded_total",
-                           "Unit blocks decoded through the codec engine.",
-                           stats["blocks_decoded"], base),
         ]
 
     return collect

@@ -11,8 +11,8 @@ process.  Two reporting styles coexist on purpose:
   registry disabled (``REGISTRY.enabled = False``) it is a single attribute
   check.
 * **Collectors** wrap state that already exists — ``BlockCache.stats``,
-  ``ContainerReader`` fetch counters, ``CodecEngine`` batch stats, daemon
-  counters — instead of duplicating it.  A collector is a callable invoked
+  ``ContainerReader`` fetch counters, daemon counters — instead of
+  duplicating it.  A collector is a callable invoked
   at snapshot time that returns metric families as plain data; it is held
   via a weak reference to its owner, so registering a cache with the
   process-wide registry never keeps the cache alive.

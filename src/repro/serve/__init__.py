@@ -2,9 +2,8 @@
 
 The multi-client step after :mod:`repro.array`: a view query is already plain
 data (``field``, ``step``, ``level``, an index expression), so this package
-serves it over a local socket from **one** decode pool — one
-:class:`repro.store.Store`, one shared :class:`repro.array.BlockCache`, one
-:class:`repro.store.engine.CodecEngine` — instead of every analysis process
+serves it over a local socket from **one** :class:`repro.store.Store` and
+one shared :class:`repro.array.BlockCache`, instead of every analysis process
 paying full decode cost::
 
     # server (or: repro serve RUN_DIR --addr 127.0.0.1:4815)
@@ -30,7 +29,7 @@ Four pieces:
   ``stats``, with typed error transport;
 * :class:`ReadDaemon` (:mod:`repro.serve.daemon`) — framed request
   handling, tracing and dispatch over that lifecycle, shared
-  readers/cache/engine, per-request decode accounting;
+  readers and cache, per-request decode accounting;
 * :class:`RemoteStore` / :class:`RemoteArray` (:mod:`repro.serve.client`) —
   a :class:`~repro.serve.client.CatalogClient` and a
   :class:`repro.array.LazyArray` that add only the wire exchange, so existing

@@ -1,10 +1,9 @@
 """``ReadDaemon``: serve a store's array queries from one shared cache.
 
-One daemon wraps one :class:`repro.store.Store`, the store's shared
-:class:`repro.array.BlockCache` and its :class:`repro.store.engine.CodecEngine`
-behind a local TCP socket.  Many analysis clients then share a single decode
-pool: the first client to touch a block pays the decode, every later query —
-from any connection — hits the cache.  This is the multi-client step the
+One daemon wraps one :class:`repro.store.Store` and the store's shared
+:class:`repro.array.BlockCache` behind a local TCP socket.  Many analysis
+clients then share the decoded blocks: the first client to touch a block
+pays the decode, every later query — from any connection — hits the cache.  This is the multi-client step the
 ROADMAP names after the lazy view API: a view query is plain data
 ``(field, step, level, compiled index)``, so serving it is framing, not new
 read logic.
@@ -50,7 +49,6 @@ from repro.obs import (
     access_extra,
     cache_collector,
     counter_family,
-    engine_collector,
     gauge_family,
     reader_stats_family,
 )
@@ -357,7 +355,7 @@ class WireDaemon(ThreadedServer):
 
 
 class ReadDaemon(WireDaemon):
-    """Read daemon over one store, one block cache and one codec engine.
+    """Read daemon over one store and one block cache.
 
     Parameters
     ----------
@@ -416,13 +414,10 @@ class ReadDaemon(WireDaemon):
         )
 
     def _collectors(self) -> List[Callable]:
-        fns = [
+        return [
             self._collect_families,
             cache_collector(self.cache, {"cache": "serve"}),
         ]
-        if self.store.engine is not None:
-            fns.append(engine_collector(self.store.engine))
-        return fns
 
     def _close(self, timeout: float) -> None:
         super()._close(timeout)
@@ -530,7 +525,7 @@ class ReadDaemon(WireDaemon):
                 return slot
         from repro.store.format import ContainerReader
 
-        reader = ContainerReader(self.store.root / entry.path, engine=self.store.engine)
+        reader = ContainerReader(self.store.root / entry.path)
         redundant = None
         to_close: list = []
         invalidated = False

@@ -15,10 +15,10 @@ subsystem is the production substrate for those access patterns:
 * **catalog** (:mod:`repro.store.catalog`): a :class:`~repro.store.catalog.Store`
   directory maps ``(field, step)`` to containers through a JSON manifest with
   append-as-you-simulate semantics for the in-situ pipeline;
-* **codec engine** (:mod:`repro.store.engine`): a
-  :class:`~repro.store.engine.CodecEngine` batches block encode/decode
-  through a serial, thread- or process-pool backend with chunked submission,
-  so compress-and-write and bulk reads scale with cores.
+* **codec entry points** (:mod:`repro.store.engine`): a level's unit blocks
+  are encoded (:class:`~repro.store.engine.CodecEngine`) and a request's
+  payloads decoded as one batched codec call each; the codec alone decides
+  how many blocks share a kernel call, and there is nothing to configure.
 
 The primary *read* surface sits one package up: :mod:`repro.array` wraps
 readers and stores in lazy NumPy-style views (``store[field, step]``,

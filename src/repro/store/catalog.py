@@ -70,23 +70,18 @@ class Store:
     compressor:
         :class:`MultiResolutionCompressor` whose codec and unit size define
         how appended data is blocked and encoded (default: SZ3, unit 16).
-    engine:
-        :class:`CodecEngine` used to batch block encode/decode; defaults to
-        a serial engine matching ``compressor``.  Pass a thread/process
-        engine to scale appends and reads with cores.
     """
 
     def __init__(
         self,
         root: Union[str, Path],
         compressor: Optional[MultiResolutionCompressor] = None,
-        engine: Optional[CodecEngine] = None,
     ) -> None:
         self.root = Path(root)
         created = not self.root.exists()
         self.root.mkdir(parents=True, exist_ok=True)
         self.compressor = compressor or MultiResolutionCompressor()
-        self.engine = engine or CodecEngine.from_compressor(self.compressor)
+        self.engine = CodecEngine.from_compressor(self.compressor)
         self._entries: Dict[str, StoreEntry] = {}
         self._block_cache = None  # shared by every lazy view, built on first use
         self._manifest_sig: Optional[Tuple[int, int]] = None
@@ -210,6 +205,21 @@ class Store:
             eb = float(error_bound)
         block_levels: List[BlockLevel] = []
         for level_index, level_data, mask in level_inputs:
+            if mask is not None and not mask.any():
+                # A fully refined (or fully coarse) snapshot leaves a level
+                # unoccupied; it is stored as a level of zero blocks, which
+                # reads back as the fill value.
+                u = self.compressor.unit_size if unit_size is None else int(unit_size)
+                block_levels.append(
+                    BlockLevel(
+                        level=level_index,
+                        level_shape=level_data.shape,
+                        unit_size=min(u, *level_data.shape),
+                        coords=np.empty((0, level_data.ndim), dtype=np.int64),
+                        payloads=[],
+                    )
+                )
+                continue
             block_set = self.compressor.prepare_unit_blocks(
                 level_data, mask, unit_size=unit_size
             )
@@ -390,14 +400,14 @@ class Store:
     def get(self, field: str, step: int) -> ContainerReader:
         """Open a random-access reader over one container."""
         entry = self.entry(field, step)
-        return ContainerReader(self.root / entry.path, engine=self.engine)
+        return ContainerReader(self.root / entry.path)
 
     def array(self, field: str, step: int, level: int = 0, fill_value: float = 0.0):
         """Lazy :class:`repro.array.CompressedArray` view over one snapshot.
 
         The primary read surface: ``store.array(f, s)[10:20, :, ::2]`` (or the
         ``store[f, s]`` shorthand) decodes only the blocks the selection
-        touches, batched through the store's engine and cached in the shared
+        touches, decoded as one batch and cached in the shared
         :attr:`block_cache`.  ``.level(k)`` switches resolution levels.
         """
         return self.get(field, step).as_array(

@@ -37,6 +37,7 @@ from repro.compressors.errors import DecompressionError
 from repro.core.partition import UnitBlockSet
 from repro.obs import REGISTRY
 from repro.obs import span as obs_span
+from repro.store.engine import decode_payloads, decode_payloads_into
 from repro.store.index import RECORD_BYTES, BlockIndex
 from repro.store.query import BBox, coalesce_ranges
 from repro.utils.morton import morton_encode2d, morton_encode3d
@@ -49,7 +50,7 @@ FORMAT_VERSION = 2
 #: Merge payload ranges whose file gap is at most this many bytes into one
 #: fetch — about one page: reading a page-sized gap is cheaper than a second
 #: syscall (file source) or a second view (mmap source).
-DEFAULT_COALESCE_GAP = 4096
+_COALESCE_GAP = 4096
 
 #: One observation per coalesced fetch batch, split by payload source so a
 #: snapshot shows whether slow reads paid mmap slices or seek/read syscalls.
@@ -62,8 +63,8 @@ _FETCH_SECONDS = REGISTRY.histogram(
 
 class _FilePayloadSource:
     """Coalesced ``seek``/``read`` fetches — the fallback when mmap is not
-    available (or is disabled); one file handle per fetch batch, so sharing a
-    reader across threads stays safe."""
+    available; one file handle per fetch batch, so sharing a reader across
+    threads stays safe."""
 
     kind = "file"
 
@@ -253,44 +254,16 @@ class ContainerReader:
     ----------
     path:
         A ``.rps2`` container produced by :func:`write_container`.
-    engine:
-        Optional :class:`~repro.store.engine.CodecEngine` used to decode
-        fetched payloads in parallel; decoding is serial (with a cached
-        codec) when omitted.
-    payload_source:
-        ``"auto"`` (default) memory-maps the container and falls back to
-        seek/read when the map cannot be created; ``"mmap"`` requires the
-        map (raising :class:`DecompressionError` otherwise); ``"file"``
-        forces the seek/read path (the fuzz harness uses this to prove both
-        paths byte-identical).
-    coalesce_gap:
-        Merge payload ranges whose file gap is at most this many bytes into
-        one fetch (default one page).  ``None`` disables coalescing — one
-        fetch per block, the pre-coalescing behaviour the hot-path benchmark
-        measures against.
     """
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        engine=None,
-        payload_source: str = "auto",
-        coalesce_gap: Optional[int] = DEFAULT_COALESCE_GAP,
-    ) -> None:
-        if payload_source not in ("auto", "mmap", "file"):
-            raise ValueError(
-                f"payload_source must be 'auto', 'mmap' or 'file', got {payload_source!r}"
-            )
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.engine = engine
-        self.coalesce_gap = None if coalesce_gap is None else int(coalesce_gap)
         self.stats: Dict[str, int] = {
             "blocks_decoded": 0,
             "payload_bytes_read": 0,
             "fetch_ranges": 0,
             "fetch_bytes": 0,
         }
-        self._source_mode = payload_source
         self._source = None  # repro: guarded-by(_source_lock)
         self._source_lock = threading.Lock()
         # Readers are shared across daemon connections; counter updates are
@@ -445,25 +418,19 @@ class ContainerReader:
         return source
 
     def _open_payload_source(self):
-        if self._source_mode == "file":
-            return _FilePayloadSource(self.path)
         try:
             return _MmapPayloadSource(self.path)
-        except (ImportError, OSError, ValueError, OverflowError) as exc:
-            if self._source_mode == "mmap":
-                raise DecompressionError(
-                    f"{self.path}: cannot mmap container ({exc})"
-                ) from exc
+        except (ImportError, OSError, ValueError, OverflowError):
             return _FilePayloadSource(self.path)
 
     def fetch_entries(self, positions: Sequence[int]) -> List[memoryview]:
         """Raw payload buffers of the given index-entry positions, coalesced.
 
         Positions are sorted by file offset, merged into contiguous ranges
-        (per :attr:`coalesce_gap`), fetched once per range and handed back as
-        zero-copy ``memoryview`` slices in the *requested* order.  This is
-        the only place payload bytes enter the process; ``fetch_ranges`` /
-        ``fetch_bytes`` in :attr:`stats` count what it cost.
+        (a gap of up to one page is read through), fetched once per range and
+        handed back as zero-copy ``memoryview`` slices in the *requested*
+        order.  This is the only place payload bytes enter the process;
+        ``fetch_ranges`` / ``fetch_bytes`` in :attr:`stats` count what it cost.
         """
         positions = np.asarray(positions, dtype=np.int64)
         n = positions.shape[0]
@@ -471,11 +438,7 @@ class ContainerReader:
             return []
         offsets = self._index.offsets[positions] + self._data_start
         lengths = self._index.lengths[positions]
-        if self.coalesce_gap is None:
-            lo, hi = offsets, offsets + lengths
-            which = np.arange(n, dtype=np.int64)
-        else:
-            lo, hi, which = coalesce_ranges(offsets, lengths, self.coalesce_gap)
+        lo, hi, which = coalesce_ranges(offsets, lengths, _COALESCE_GAP)
         source = self._payload_source()
         start = time.perf_counter()
         with obs_span("fetch", blocks=n, source=source.kind) as sp:
@@ -502,28 +465,20 @@ class ContainerReader:
             self.stats["fetch_bytes"] += int((hi - lo).sum())
         return views
 
-    def _decode_payloads(self, payloads: List[memoryview]) -> List[np.ndarray]:
-        with self._stats_lock:
-            self.stats["blocks_decoded"] += len(payloads)
-        with obs_span("decode", blocks=len(payloads)):
-            if self.engine is not None:
-                return self.engine.decode_blocks(payloads)
-            from repro.store.engine import decode_payloads
-
-            return decode_payloads(payloads)
-
     def decode_entries(self, positions: Sequence[int]) -> List[np.ndarray]:
         """Fetch and decode the payloads of the given index-entry positions.
 
         The batched decode primitive behind every query: positions come from
         :meth:`BlockIndex.select`, payloads are fetched coalesced (see
-        :meth:`fetch_entries`) and decoded through the attached engine (or
-        serially).  Lazy views (:mod:`repro.array`) call this for exactly
-        their cache misses.
+        :meth:`fetch_entries`) and decoded as one batch
+        (:func:`~repro.store.engine.decode_payloads`).  Lazy views
+        (:mod:`repro.array`) call this for exactly their cache misses.
         """
-        return self._decode_payloads(
-            self.fetch_entries(np.asarray(positions, dtype=np.int64))
-        )
+        payloads = self.fetch_entries(np.asarray(positions, dtype=np.int64))
+        with self._stats_lock:
+            self.stats["blocks_decoded"] += len(payloads)
+        with obs_span("decode", blocks=len(payloads)):
+            return decode_payloads(payloads)
 
     def decode_entries_into(
         self,
@@ -542,12 +497,7 @@ class ContainerReader:
         with self._stats_lock:
             self.stats["blocks_decoded"] += len(payloads)
         with obs_span("decode", blocks=len(payloads), into=True):
-            if self.engine is not None:
-                self.engine.decode_blocks_into(payloads, outs, srcs)
-            else:
-                from repro.store.engine import decode_payloads_into
-
-                decode_payloads_into(payloads, outs, srcs)
+            decode_payloads_into(payloads, outs, srcs)
 
     # -- queries --------------------------------------------------------------
     def read_blocks(self, level: int, region: Optional[BBox] = None) -> UnitBlockSet:
@@ -577,9 +527,8 @@ class ContainerReader:
         """Lazy :class:`repro.array.CompressedArray` view over one level.
 
         The view's indexing compiles into this reader's block queries, so only
-        intersecting blocks are decoded (through the attached engine when
-        present); pass a :class:`repro.array.BlockCache` to decode revisited
-        blocks once across queries.
+        intersecting blocks are decoded; pass a :class:`repro.array.BlockCache`
+        to decode revisited blocks once across queries.
         """
         from repro.array import CompressedArray, ContainerSource
 

@@ -39,7 +39,6 @@ def pytest_configure(config):
     import repro.shard.breaker  # noqa: F401
     import repro.shard.router  # noqa: F401
     import repro.store.catalog  # noqa: F401
-    import repro.store.engine  # noqa: F401
     import repro.store.format  # noqa: F401
 
     from repro.devtools import lockcheck

@@ -12,7 +12,10 @@ and every comparison is exact (``to_bytes()`` equality,
   bounds, with and without ``outs``/``srcs`` destination windows;
 * stacks where only some blocks carry unpredictable values, so every block's
   cursor into its own exact-value stream is exercised;
-* one ``decode_payloads`` call mixing shapes and codecs, in request order;
+* one ``decode_payloads`` call mixing shapes and codecs, in request order,
+  longer than one parse slice;
+* who decides the batch size: the codec's byte bound — full stacks whatever
+  the core count, one stack for a small read, bounded parsed headers;
 * every corruption the decoder types, raised from inside a batch exactly as
   from the single-array call;
 * what a cold whole-level read leaves behind: one interpolation plan, and a
@@ -50,7 +53,7 @@ from repro.compressors.lossless import (
 from repro.core.adaptive_eb import adaptive_level_error_bounds
 from repro.core.mr_compressor import MultiResolutionCompressor
 from repro.store import Store
-from repro.store.engine import CodecEngine, decode_payloads, decode_payloads_into
+from repro.store.engine import _SLICE, CodecEngine, decode_payloads, decode_payloads_into
 from repro.utils.rng import default_rng
 
 FUZZ_SEED = os.environ.get("REPRO_FUZZ_SEED", "fuzz-0")
@@ -146,12 +149,15 @@ def test_only_some_blocks_carry_exact_values():
 def test_mixed_shapes_and_codecs_keep_request_order():
     rng = _rng("mixed")
     sz3, zfp = get_compressor("sz3"), get_compressor("zfp")
-    requests = []
+    distinct = []
     for k in range(40):
         codec = zfp if k % 5 == 2 else sz3
         shape = (8, 8, 8) if k % 3 else (4, 4, 4)
         compressed = codec.compress(_stack(rng, shape, n=1)[0], ERROR_BOUND)
-        requests.append((compressed.to_bytes(), codec.decompress(compressed)))
+        distinct.append((compressed.to_bytes(), codec.decompress(compressed)))
+    # Longer than one parse slice: request order has to survive the slice
+    # boundary as well as every codec boundary.
+    requests = [distinct[k] for k in rng.integers(0, len(distinct), size=_SLICE + 40)]
     payloads = [blob for blob, _ in requests]
     for got, (_, want) in zip(decode_payloads(payloads), requests):
         assert_array_equal(got, want)
@@ -161,19 +167,69 @@ def test_mixed_shapes_and_codecs_keep_request_order():
         assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-def test_engine_backends_write_the_serial_bytes(executor):
+def test_engine_writes_the_serial_bytes():
     blocks = _stack(_rng("engine"), (4, 4, 4), n=300)
     codec = MultiResolutionCompressor(unit_size=4, adaptive_eb=True)
-    engine = CodecEngine.from_compressor(codec, executor=executor, max_workers=2)
-    payloads = engine.encode_blocks(blocks, ERROR_BOUND)
+    payloads = CodecEngine.from_compressor(codec).encode_blocks(blocks, ERROR_BOUND)
     assert payloads == [codec.codec.compress(b, ERROR_BOUND).to_bytes() for b in blocks]
     outs = np.empty_like(blocks)
-    engine.decode_blocks_into(payloads, outs)
-    for got, into, blob in zip(engine.decode_blocks(payloads), outs, payloads):
+    decode_payloads_into(payloads, outs)
+    for got, into, blob in zip(decode_payloads(payloads), outs, payloads):
         want = codec.decode_unit_block(CompressedArray.from_bytes(blob))
         assert_array_equal(got, want)
         assert_array_equal(into, want)
+
+
+# -- who decides the batch size ------------------------------------------------------
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Blocks per call of the two SZ3 kernels and of ``decompress_batch``."""
+    calls = {"encode": [], "decode": [], "batch": []}
+
+    def spy(name, key):
+        inner = getattr(SZ3Compressor, name)
+
+        def wrapper(self, blocks, *args, **kwargs):
+            calls[key].append(len(blocks))
+            return inner(self, blocks, *args, **kwargs)
+
+        monkeypatch.setattr(SZ3Compressor, name, wrapper)
+
+    spy("_encode_stack", "encode")
+    spy("_decode_stack", "decode")
+    spy("decompress_batch", "batch")
+    return calls
+
+
+@pytest.mark.parametrize("cpu_count", [1, 64])
+def test_the_codec_alone_sizes_the_stacks(cpu_count, kernel_calls, monkeypatch, tmp_path):
+    """A level reaches the kernel as the stacks its byte bound allows — full
+    ones — and a small read as one stack, on a laptop and on an HPC node."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    blocks = _stack(_rng("stacks"), (4, 4, 4), n=4096)
+    payloads = CodecEngine("sz3").encode_blocks(blocks, ERROR_BOUND)
+    assert kernel_calls["encode"] == [512] * 8
+
+    decoded = decode_payloads(payloads)
+    assert kernel_calls["decode"] == [512] * 8
+    # Parsed headers are bounded by the slice, not by the level.
+    assert kernel_calls["batch"] == [_SLICE] * (4096 // _SLICE)
+    outs = np.empty_like(blocks)
+    decode_payloads_into(payloads, outs)
+    assert kernel_calls["decode"] == [512] * 16
+    assert max(kernel_calls["batch"]) <= _SLICE
+    assert_array_equal(outs, np.stack(decoded))
+
+    # A 32^3 ROI of a unit-16 entry: eight blocks, one kernel call.
+    field = np.cumsum(_rng("roi").standard_normal((32, 32, 32)), axis=0)
+    store = Store(tmp_path / "s", MultiResolutionCompressor(unit_size=16))
+    store.append("f", 0, field, ERROR_BOUND)
+    kernel_calls["decode"].clear()
+    out = store["f", 0][...]
+    assert kernel_calls["decode"] == [8]
+    assert np.abs(out - field).max() <= ERROR_BOUND
 
 
 # -- the streams of the per-block codec this kernel replaced ------------------------

@@ -11,6 +11,9 @@ all-tiny magnitudes), through the two entry points the codec layers offer:
   2-D and 3-D levels (per-block, batched encode and decode);
 * ``repro.compress`` → ``repro.decompress`` on 1-, 2- and 3-D arrays.
 
+A two-level hierarchy whose ROI is everything or nothing — one level owns no
+cell — is a legal snapshot and a row of the store table too.
+
 The bound held against is the one the spec resolves to on the original data,
 so an entry that quietly recorded a looser bound fails too.  Inputs outside
 the domain are rows of the same table, asserting the typed refusal: non-finite
@@ -32,6 +35,7 @@ from repro import ErrorBound
 from repro.compressors import get_compressor
 from repro.compressors.errors import CompressionError
 from repro.core.mr_compressor import MultiResolutionCompressor
+from repro.core.roi import extract_roi
 from repro.store import Store
 from repro.utils.rng import default_rng
 
@@ -85,6 +89,28 @@ def test_store_round_trip_is_within_the_bound(tmp_path, unit, dims, kind):
         # A fresh store: nothing of the write survives but the container.
         decoded = Store(tmp_path / "s")["f", step][...]
         _assert_within(decoded, original, entry.error_bound, spec)
+
+
+@pytest.mark.parametrize("roi_fraction", [0.0, 1.0])
+def test_store_holds_a_hierarchy_with_an_unoccupied_level(tmp_path, roi_fraction):
+    """Everything refined, or nothing: an in-situ run reaches this on its first
+    fully refined step.  The unoccupied level is stored with zero blocks."""
+    original = _field("smooth", (32, 32, 32), roi_fraction)
+    hierarchy = extract_roi(original, roi_fraction=roi_fraction, block_size=8).hierarchy
+    (empty,) = [lvl.level for lvl in hierarchy.levels if not lvl.mask.any()]
+    store = Store(tmp_path / "s", MultiResolutionCompressor(unit_size=8))
+    for step, spec in enumerate(BOUNDS.values()):
+        entry = store.append("f", step, hierarchy, spec)
+        reader = Store(tmp_path / "s").get("f", step)
+        assert reader.level_info(empty).n_blocks == 0
+        assert reader.read_blocks(empty).blocks.shape == (0, 8, 8, 8)
+        for lvl in hierarchy.levels:
+            decoded = reader.as_array(level=lvl.level, fill_value=-7.0)[...]
+            assert decoded.shape == lvl.data.shape
+            if lvl.level == empty:
+                assert (decoded == -7.0).all()
+            else:
+                assert np.abs(decoded - lvl.data)[lvl.mask].max() <= entry.error_bound
 
 
 @pytest.mark.parametrize("kind", FIELDS)

@@ -83,19 +83,17 @@ class TestDecodeInto:
             codec.decompress_into(compressed, partial, src=src)
             assert np.array_equal(partial, reference[src])
 
-    def test_engine_decode_blocks_into_parity(self, container):
-        from repro.store.engine import CodecEngine
+    def test_decode_payloads_into_parity(self, container):
+        from repro.store.engine import decode_payloads, decode_payloads_into
         from repro.store.format import ContainerReader
 
         reader = ContainerReader(container)
         payloads = reader.fetch_entries(np.arange(reader.n_blocks))
-        for executor in ("serial", "thread", "process"):
-            engine = CodecEngine("sz3", executor=executor, max_workers=2)
-            blocks = engine.decode_blocks(payloads)
-            outs = [np.empty_like(b) for b in blocks]
-            engine.decode_blocks_into(payloads, outs)
-            for a, b in zip(blocks, outs):
-                assert np.array_equal(a, b)
+        blocks = decode_payloads(payloads)
+        outs = [np.empty_like(b) for b in blocks]
+        decode_payloads_into(payloads, outs)
+        for a, b in zip(blocks, outs):
+            assert np.array_equal(a, b)
 
 
 # -- allocation bounds ------------------------------------------------------------

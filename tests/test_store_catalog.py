@@ -9,7 +9,7 @@ from repro.amr.simulation import CollapsingDensitySimulation
 from repro.core.mr_compressor import MultiResolutionCompressor
 from repro.core.sz3mr import SZ3MRCompressor
 from repro.insitu import InSituPipeline
-from repro.store import CodecEngine, Store
+from repro.store import Store
 
 EB = 0.05
 
@@ -177,18 +177,3 @@ class TestPipelineIntegration:
         # Same codec, same error bound: quality is comparable even though the
         # v2 path compresses each unit block independently.
         assert r2.psnr == pytest.approx(r1.psnr, rel=0.2)
-
-    def test_parallel_engine_store_matches_serial(self, tmp_path, small_hierarchy):
-        mrc = MultiResolutionCompressor(unit_size=8)
-        serial = Store(tmp_path / "serial", mrc)
-        threaded = Store(
-            tmp_path / "threaded",
-            mrc,
-            engine=CodecEngine.from_compressor(mrc, executor="thread", max_workers=4),
-        )
-        e1 = serial.append("density", 0, small_hierarchy, EB)
-        e2 = threaded.append("density", 0, small_hierarchy, EB)
-        assert e1.nbytes_compressed == e2.nbytes_compressed
-        a = serial["density", 0][...]
-        b = threaded["density", 0][...]
-        assert np.array_equal(a, b)

@@ -1,9 +1,9 @@
 """Property tests for the coalesced zero-copy payload fetch path.
 
-The contract under test: however payload bytes reach the process — per-block
-seek/read (the historical path), coalesced seek/read, or coalesced mmap
-slices — every reader hands codecs the *same bytes* and every query decodes
-the *same arrays*.  Fuzzed over containers with dropped blocks and
+The contract under test: however payload bytes reach the process — coalesced
+mmap slices or the coalesced seek/read fallback — every reader hands codecs
+the *same bytes* as the file holds at each index record, and every query
+decodes the *same arrays*.  Fuzzed over containers with dropped blocks and
 overhanging (non-multiple-of-unit) edge blocks, in the requested order, for
 shuffled/duplicated position sets, and through the mmap-unavailable fallback.
 """
@@ -161,6 +161,21 @@ def fuzz_container(tmp_path_factory):
     return path
 
 
+def _mmap_refuses(self, path):
+    raise OSError("mmap disabled for the test")
+
+
+@pytest.fixture
+def file_reader(fuzz_container):
+    """A reader on the seek/read fallback: its source resolves while mmap
+    refuses to open, and stays resolved."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_MmapPayloadSource, "__init__", _mmap_refuses)
+        reader = ContainerReader(fuzz_container)
+        assert reader.payload_source == "file"
+    return reader
+
+
 class TestFetchEquivalence:
     def _positions(self, reader, rng):
         n = reader.n_blocks
@@ -169,59 +184,47 @@ class TestFetchEquivalence:
         rng.shuffle(positions)
         return positions
 
+    @staticmethod
+    def _file_bytes(reader, positions):
+        """The reference: each payload cut out of the file's own bytes by its
+        index record, through no fetch code at all."""
+        blob = reader.path.read_bytes()
+        index = reader.index
+        starts = len(blob) - index.nbytes_payloads + index.offsets[positions]
+        return [
+            blob[a : a + n]
+            for a, n in zip(starts.tolist(), index.lengths[positions].tolist())
+        ]
+
     def test_coalesced_mmap_equals_per_block_reads(self, fuzz_container):
-        mmap_reader = ContainerReader(fuzz_container, payload_source="mmap")
-        file_reader = ContainerReader(
-            fuzz_container, payload_source="file", coalesce_gap=None
-        )
+        mmap_reader = ContainerReader(fuzz_container)
         assert mmap_reader.payload_source == "mmap"
-        assert file_reader.payload_source == "file"
         rng = default_rng("fetch-parity")
         for _ in range(20):
             positions = self._positions(mmap_reader, rng)
             coalesced = mmap_reader.fetch_entries(positions)
-            per_block = file_reader.fetch_entries(positions)
-            assert len(coalesced) == len(per_block)
-            for a, b in zip(coalesced, per_block):
-                assert bytes(a) == bytes(b)
+            assert [bytes(v) for v in coalesced] == self._file_bytes(mmap_reader, positions)
 
-    def test_coalesced_file_fallback_equals_mmap(self, fuzz_container):
-        coalesced_file = ContainerReader(fuzz_container, payload_source="file")
-        mmap_reader = ContainerReader(fuzz_container, payload_source="mmap")
+    def test_coalesced_file_fallback_equals_mmap(self, fuzz_container, file_reader):
+        mmap_reader = ContainerReader(fuzz_container)
+        assert mmap_reader.payload_source == "mmap"
         rng = default_rng("fallback-parity")
         for _ in range(10):
             positions = self._positions(mmap_reader, rng)
-            assert [bytes(v) for v in coalesced_file.fetch_entries(positions)] == [
-                bytes(v) for v in mmap_reader.fetch_entries(positions)
-            ]
+            fallback = [bytes(v) for v in file_reader.fetch_entries(positions)]
+            assert fallback == [bytes(v) for v in mmap_reader.fetch_entries(positions)]
+            assert fallback == self._file_bytes(file_reader, positions)
 
     def test_auto_falls_back_when_mmap_unavailable(self, fuzz_container, monkeypatch):
-        def boom(self, path):
-            raise OSError("mmap disabled for the test")
-
-        monkeypatch.setattr(_MmapPayloadSource, "__init__", boom)
-        reader = ContainerReader(fuzz_container)  # auto
+        monkeypatch.setattr(_MmapPayloadSource, "__init__", _mmap_refuses)
+        reader = ContainerReader(fuzz_container)
         assert reader.payload_source == "file"
         assert isinstance(reader._payload_source(), _FilePayloadSource)
         # ...and still serves correct bytes.
-        baseline = ContainerReader(
-            fuzz_container, payload_source="file", coalesce_gap=None
-        )
         positions = np.arange(reader.n_blocks)
-        assert [bytes(v) for v in reader.fetch_entries(positions)] == [
-            bytes(v) for v in baseline.fetch_entries(positions)
-        ]
-
-    def test_mmap_required_raises_when_unavailable(self, fuzz_container, monkeypatch):
-        from repro.compressors.errors import DecompressionError
-
-        def boom(self, path):
-            raise OSError("mmap disabled for the test")
-
-        monkeypatch.setattr(_MmapPayloadSource, "__init__", boom)
-        reader = ContainerReader(fuzz_container, payload_source="mmap")
-        with pytest.raises(DecompressionError, match="cannot mmap"):
-            reader.fetch_entries([0])
+        assert [bytes(v) for v in reader.fetch_entries(positions)] == self._file_bytes(
+            reader, positions
+        )
 
     def test_fetch_accounting(self, fuzz_container):
         reader = ContainerReader(fuzz_container)
@@ -234,19 +237,23 @@ class TestFetchEquivalence:
         assert stats["payload_bytes_read"] == sum(len(v) for v in views)
         assert stats["fetch_bytes"] >= stats["payload_bytes_read"]
 
-    def test_decodes_are_bit_for_bit_across_sources(self, fuzz_container):
-        readers = [
-            ContainerReader(fuzz_container, payload_source="mmap"),
-            ContainerReader(fuzz_container, payload_source="file"),
-            ContainerReader(fuzz_container, payload_source="file", coalesce_gap=None),
-        ]
+    def test_decodes_are_bit_for_bit_across_sources(self, fuzz_container, file_reader):
+        from repro.store.engine import decode_payloads
+
+        mmap_reader = ContainerReader(fuzz_container)
+        assert mmap_reader.payload_source == "mmap"
         rng = default_rng("decode-parity")
         for _ in range(5):
-            positions = self._positions(readers[0], rng)
-            decoded = [r.decode_entries(positions) for r in readers]
-            for other in decoded[1:]:
-                for a, b in zip(decoded[0], other):
-                    assert np.array_equal(a, b)
+            positions = self._positions(mmap_reader, rng)
+            reference = decode_payloads(self._file_bytes(mmap_reader, positions))
+            for reader in (mmap_reader, file_reader):
+                decoded = reader.decode_entries(positions)
+                outs = [np.empty_like(block) for block in reference]
+                reader.decode_entries_into(positions, outs)
+                assert len(decoded) == len(reference)
+                for want, got, into in zip(reference, decoded, outs):
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(into, want)
 
     def test_close_releases_fd_and_reopens(self, fuzz_container):
         import os
@@ -257,7 +264,7 @@ class TestFetchEquivalence:
             except OSError:  # pragma: no cover - non-procfs platform
                 return None
 
-        reader = ContainerReader(fuzz_container, payload_source="mmap")
+        reader = ContainerReader(fuzz_container)
         before = open_fds()
         first = [bytes(v) for v in reader.fetch_entries([0])]
         during = open_fds()
@@ -281,8 +288,7 @@ class TestFetchEquivalence:
         blob = fuzz_container.read_bytes()
         clipped = tmp_path / "clipped.rps2"
         clipped.write_bytes(blob[:-16])
-        # The index-vs-file-size check fires at open, whatever the payload
-        # source — torn files never produce a usable reader.
-        for source in ("mmap", "file"):
-            with pytest.raises(DecompressionError, match="truncated container"):
-                ContainerReader(clipped, payload_source=source)
+        # The index-vs-file-size check fires at open, before any payload
+        # source exists — torn files never produce a usable reader.
+        with pytest.raises(DecompressionError, match="truncated container"):
+            ContainerReader(clipped)

@@ -1,4 +1,7 @@
-"""Tests for the parallel codec engine and the process-pool scheduler backend."""
+"""Tests for the store's codec entry points (``repro.store.engine``).
+
+Batch sizing and batched ≡ serial live in ``tests/test_codec_batch.py``.
+"""
 
 import numpy as np
 import pytest
@@ -7,18 +10,10 @@ from repro.compressors.errors import UnknownCompressorError
 from repro.core.mr_compressor import MultiResolutionCompressor
 from repro.core.partition import extract_unit_blocks
 from repro.datasets.synthetic import smooth_wave_field
-from repro.insitu.scheduler import parallel_map
 from repro.store import CodecEngine
+from repro.store.engine import decode_payloads
 
 EB = 0.02
-
-
-def _square(x):  # module-level so the process backend can pickle it
-    return x * x
-
-
-def _boom(x):
-    raise RuntimeError("boom from worker")
 
 
 @pytest.fixture(scope="module")
@@ -27,57 +22,13 @@ def blocks():
     return extract_unit_blocks(field, unit_size=8).blocks
 
 
-class TestParallelMapBackends:
-    def test_serial_executor(self):
-        assert parallel_map(_square, range(6), executor="serial") == [0, 1, 4, 9, 16, 25]
-
-    def test_process_executor_preserves_order(self):
-        items = list(range(12))
-        out = parallel_map(_square, items, max_workers=2, executor="process")
-        assert out == [x * x for x in items]
-
-    def test_process_executor_chunksize(self):
-        items = list(range(10))
-        out = parallel_map(_square, items, max_workers=2, executor="process", chunksize=3)
-        assert out == [x * x for x in items]
-
-    def test_process_exceptions_propagate(self):
-        with pytest.raises(RuntimeError, match="boom"):
-            parallel_map(_boom, [1, 2], max_workers=2, executor="process")
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            parallel_map(_square, [1], executor="mpi")
-
-
 class TestCodecEngine:
-    def test_all_backends_produce_identical_payloads(self, blocks):
-        reference = CodecEngine(executor="serial").encode_blocks(blocks, EB)
-        for executor in ("thread", "process"):
-            payloads = CodecEngine(
-                executor=executor, max_workers=2, chunksize=8
-            ).encode_blocks(blocks, EB)
-            assert payloads == reference
-
     def test_decode_roundtrip(self, blocks):
-        engine = CodecEngine(executor="thread", max_workers=2)
-        payloads = engine.encode_blocks(blocks, EB)
-        decoded = engine.decode_blocks(payloads)
+        payloads = CodecEngine().encode_blocks(blocks, EB)
+        decoded = decode_payloads(payloads)
         assert len(decoded) == blocks.shape[0]
         for recon, block in zip(decoded, blocks):
             assert np.abs(recon - block).max() <= EB * (1 + 1e-9)
-
-    def test_chunk_bounds_cover_everything_once(self):
-        engine = CodecEngine(chunksize=7)
-        bounds = engine._chunk_bounds(23)
-        flat = [i for a, b in bounds for i in range(a, b)]
-        assert flat == list(range(23))
-
-    def test_default_chunk_bounds(self):
-        engine = CodecEngine(max_workers=4)
-        bounds = engine._chunk_bounds(64)
-        assert bounds[0] == (0, 4)  # 64 / (4 workers * 4) = 4 blocks per task
-        assert bounds[-1][1] == 64
 
     def test_from_compressor_matches_codec(self, blocks):
         mrc = MultiResolutionCompressor(compressor="sz2", unit_size=8)
@@ -89,17 +40,3 @@ class TestCodecEngine:
     def test_unknown_codec_rejected_eagerly(self):
         with pytest.raises(UnknownCompressorError):
             CodecEngine(codec="mgard")
-
-    def test_bad_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            CodecEngine(executor="gpu")
-
-
-@pytest.mark.slow
-class TestProcessEngineAtScale:
-    def test_process_encode_matches_serial_on_larger_field(self):
-        field = smooth_wave_field((64, 64, 64), frequencies=(3.0, 2.0, 4.0))
-        blocks = extract_unit_blocks(field, unit_size=16).blocks
-        serial = CodecEngine(executor="serial").encode_blocks(blocks, EB)
-        parallel = CodecEngine(executor="process", max_workers=2).encode_blocks(blocks, EB)
-        assert parallel == serial
