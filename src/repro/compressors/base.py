@@ -7,7 +7,7 @@ size defines the compression ratio, plus ``decompress`` back to the original
 shape.  A convenience :meth:`Compressor.roundtrip` bundles both directions
 with quality statistics, which is what every benchmark uses.
 
-The block store encodes every unit block of a level standalone, so the
+The block store encodes the equal-shaped unit blocks of a level, so the
 interface also has a batched form of each direction:
 :meth:`Compressor.compress_batch` takes a stack of same-shape blocks and one
 already-resolved absolute bound, :meth:`Compressor.decompress_batch` takes any
@@ -15,6 +15,12 @@ list of payloads (optionally with destination windows).  Both default to a
 per-item loop over the single-array methods and must stay bit-for-bit equal
 to that loop; a codec overrides them only to share work across blocks
 (:class:`~repro.compressors.sz3.SZ3Compressor` does).
+:meth:`Compressor.compress_stacks` is what the store writes with: a codec
+with a shared entropy stage may merge a run of consecutive blocks into one
+*stack* payload — an ordinary :class:`CompressedArray` of shape
+``(N, *block_shape)`` marked ``"stack"`` in its metadata — out of which
+``decompress_batch(..., slots=)`` reconstructs single blocks; the default
+merges nothing.
 
 The input domain is finite floating-point data: NaN and infinities have no
 error-bounded quantization, so both compress entry points refuse them with
@@ -24,6 +30,7 @@ error-bounded quantization, so both compress entry points refuse them with
 from __future__ import annotations
 
 import json
+import math
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -90,6 +97,17 @@ class CompressedArray:
     def compression_ratio(self) -> float:
         """Original bytes divided by compressed bytes."""
         return self.nbytes_original / max(1, self.nbytes_compressed)
+
+    @property
+    def n_blocks(self) -> int:
+        """Same-shape blocks the payload holds: the leading axis of a stack
+        payload (see :meth:`Compressor.compress_stacks`), otherwise one."""
+        return int(self.shape[0]) if self.metadata.get("stack") else 1
+
+    @property
+    def block_shape(self) -> tuple:
+        """Shape of one of the payload's :attr:`n_blocks` blocks."""
+        return tuple(self.shape[1:] if self.metadata.get("stack") else self.shape)
 
     def _header_size(self) -> int:
         return len(self._header_bytes())
@@ -202,7 +220,7 @@ class Compressor(ABC):
         eb = float(spec.resolve(arr))
         if eb <= 0:
             raise CompressionError("error bound must be strictly positive")
-        return self._package(data, arr, eb, [self._compress_impl(arr, eb)])[0]
+        return self._package(data, arr.shape, eb, [self._compress_impl(arr, eb)])[0]
 
     def compress_batch(self, blocks: np.ndarray, abs_bound: float) -> List[CompressedArray]:
         """Compress a stack of same-shape blocks, each into a standalone payload.
@@ -213,13 +231,28 @@ class Compressor(ABC):
         relative spec resolved per block would silently mean a different
         bound for each.
         """
+        stack, eb = self._checked_batch(blocks, abs_bound)
+        if not len(stack):
+            return []
+        return self._package(blocks, stack.shape[1:], eb, self._compress_stack(stack, eb))
+
+    def compress_stacks(self, blocks: np.ndarray, abs_bound: float) -> List[CompressedArray]:
+        """Compress a stack of same-shape blocks into as few payloads as the
+        codec can still read single blocks out of.
+
+        Each payload holds a run of consecutive blocks
+        (:attr:`CompressedArray.n_blocks`; in order, the runs are ``blocks``)
+        and reconstructs, block for block, exactly what :meth:`compress_batch`
+        payloads would.  This default merges nothing: one payload per block.
+        """
+        return self.compress_batch(blocks, abs_bound)
+
+    def _checked_batch(self, blocks, abs_bound: float) -> Tuple[np.ndarray, float]:
         stack = self._checked_input(blocks, stacked=True)
         eb = float(abs_bound)
         if not eb > 0:
             raise CompressionError("error bound must be strictly positive")
-        if not len(stack):
-            return []
-        return self._package(blocks, stack[0], eb, self._compress_stack(stack, eb))
+        return stack, eb
 
     def _checked_input(self, data, stacked: bool = False) -> np.ndarray:
         """``data`` as contiguous float64, or the typed refusal: the one gate
@@ -238,16 +271,16 @@ class Compressor(ABC):
             )
         return arr
 
-    def _package(self, data, arr: np.ndarray, eb: float, encoded) -> List[CompressedArray]:
-        dtype = str(data.dtype if isinstance(data, np.ndarray) else arr.dtype)
+    def _package(self, data, shape: tuple, eb: float, encoded) -> List[CompressedArray]:
+        dtype = str(data.dtype if isinstance(data, np.ndarray) else np.dtype(np.float64))
         return [
             CompressedArray(
                 codec=self.name,
                 payload=payload,
-                shape=arr.shape,
+                shape=tuple(shape),
                 dtype=dtype,
                 error_bound=eb,
-                nbytes_original=arr.size * 8,
+                nbytes_original=math.prod(shape) * 8,
                 metadata=metadata,
             )
             for payload, metadata in encoded
@@ -270,6 +303,7 @@ class Compressor(ABC):
         items: Sequence[CompressedArray],
         outs: Optional[Sequence[np.ndarray]] = None,
         srcs: Optional[Sequence] = None,
+        slots: Optional[Sequence[Sequence[int]]] = None,
     ) -> Sequence[np.ndarray]:
         """Reconstruct many payloads; shapes may differ from item to item.
 
@@ -278,7 +312,20 @@ class Compressor(ABC):
         neighbours.  With ``outs``, item *i* is reconstructed into ``outs[i]``
         (restricted to the ``srcs[i]`` window when given) exactly as
         :meth:`decompress_into` would, and ``outs`` is returned.
+
+        ``slots`` asks for single blocks instead of whole payloads:
+        ``slots[i]`` lists the blocks wanted out of ``items[i]``, and the
+        results (and ``outs`` / ``srcs``) run over those blocks, item by item.
         """
+        if slots is not None:
+            # compress_stacks merges nothing here, so a block is its payload.
+            for compressed, wanted in zip(items, slots):
+                if compressed.n_blocks != 1 or any(wanted):
+                    raise DecompressionError(
+                        f"{self.name} payloads hold one block each; asked for blocks "
+                        f"{list(wanted)} of a payload holding {compressed.n_blocks}"
+                    )
+            items = [c for c, wanted in zip(items, slots) for _ in wanted]
         if outs is None:
             return [self.decompress(compressed) for compressed in items]
         for i, compressed in enumerate(items):

@@ -16,18 +16,31 @@ payload only carries three streams (codes, unpredictable values, anchors).
 
 There is one traversal in each direction, and it works on a *stack*
 ``(N, *shape)``: the block store cuts a level into thousands of equal-shaped
-unit blocks, each encoded standalone, and what those blocks share — the
-interpolation plan (memoised per shape), every prediction, quantization and
-dequantization step — runs once per step across the leading axis instead of
-once per block.  What cannot be shared stays per block: the entropy streams
-(``pack_streams`` + zlib/Huffman) and the header, because each payload must
-decode alone, and the cursor into each block's unpredictable-value stream.
-``compress``/``decompress`` of a single array are the ``N = 1`` call of the
-same two kernels (``_encode_stack`` / ``_decode_stack``), so the batched and
-the per-array results are the same bytes by construction, and
-``decompress_into`` keeps reconstructing inside the destination (``out[None]``
-is a view).  A stack is bounded in decoded bytes (``_STACK_BYTES``), so peak
-memory does not grow with the number of blocks a caller hands over.
+unit blocks, and what those blocks share — the interpolation plan (memoised
+per shape), every prediction, quantization and dequantization step — runs
+once per step across the leading axis instead of once per block.  The entropy
+stage is per *payload*, and a payload holds as many blocks as its caller
+wants to be able to read alone:
+
+* ``compress`` / ``compress_batch`` write one block per payload (the
+  ``N = 1`` case, byte for byte what a single array always compressed to);
+* ``compress_stacks`` — what the store writes with — entropy-codes each
+  kernel stack as **one** payload, the way the paper's SZ3MR merges a level
+  before its entropy stage: one header, one code stream (``N x n_codes``), one
+  anchor stream, the blocks' exact values back to back plus their ``N``
+  counts (``n_exact``).  Such a *stack payload* is an ordinary
+  :class:`CompressedArray` of shape ``(N, *shape)`` with ``"stack": true`` in
+  its metadata; ``decompress`` gives the whole stack.
+
+Prediction stays per block either way, so reading one block out of a stack
+(``decompress_batch(..., slots=)``) inflates the stack's streams once, keeps
+that block's row and *reconstructs* one block; rows gathered from several
+payloads share a kernel call exactly as standalone payloads do.  The only
+per-block state below the entropy stage is the cursor into each block's
+exact values.  ``decompress_into`` keeps reconstructing inside the
+destination (``out[None]`` is a view).  A stack is bounded in decoded bytes
+(``_STACK_BYTES``), so peak memory does not grow with the number of blocks a
+caller hands over — and the same bound is the size of a stack payload.
 """
 
 from __future__ import annotations
@@ -61,7 +74,8 @@ LevelErrorBoundFn = Callable[[int, int, float], float]
 #: the prediction temporaries — is about five times that, so the bound keeps a
 #: call inside a couple of MiB (and a level-sized read from allocating a
 #: second level) however many blocks the caller hands over.  A block larger
-#: than the bound is simply a stack of one.
+#: than the bound is simply a stack of one.  It is also how much one stack
+#: payload decodes to: what a one-block read inflates (not reconstructs).
 _STACK_BYTES = 256 * 1024
 
 
@@ -95,21 +109,31 @@ class SZ3Compressor(Compressor):
 
     # -- compression --------------------------------------------------------
     def _compress_impl(self, data: np.ndarray, error_bound: float) -> Tuple[bytes, Dict]:
-        return self._encode_stack(data[None], error_bound)[0]
+        return self._encode_stack(data[None], error_bound, merged=True)[0]
 
     def _compress_stack(
         self, stack: np.ndarray, error_bound: float
     ) -> List[Tuple[bytes, Dict]]:
-        per_call = _blocks_per_stack(stack.shape[1:])
         encoded: List[Tuple[bytes, Dict]] = []
-        for start in range(0, len(stack), per_call):
-            encoded.extend(self._encode_stack(stack[start : start + per_call], error_bound))
+        for run in _kernel_runs(stack):
+            encoded.extend(self._encode_stack(run, error_bound, merged=False))
         return encoded
 
+    def compress_stacks(self, blocks: np.ndarray, abs_bound: float) -> List[CompressedArray]:
+        stack, eb = self._checked_batch(blocks, abs_bound)
+        out: List[CompressedArray] = []
+        for run in _kernel_runs(stack):
+            # A run of one block is the plain single-array payload.
+            shape = run.shape if len(run) > 1 else run.shape[1:]
+            out.extend(self._package(blocks, shape, eb, self._encode_stack(run, eb, merged=True)))
+        return out
+
     def _encode_stack(
-        self, stack: np.ndarray, error_bound: float
+        self, stack: np.ndarray, error_bound: float, merged: bool
     ) -> List[Tuple[bytes, Dict]]:
-        """The encode kernel: ``(payload, metadata)`` per block of ``(N, *shape)``."""
+        """The encode kernel: predict and quantise ``(N, *shape)`` together,
+        then entropy-code the whole stack into one ``(payload, metadata)``
+        (``merged``) or every block into its own."""
         n = len(stack)
         plan = build_plan(stack.shape[1:])
         # Per-level error bounds are resolved once and stored in the metadata
@@ -140,46 +164,64 @@ class SZ3Compressor(Compressor):
             cursor += step.size
             if qr.exact_values.size:
                 # Exact values come out in stack order; each block's own
-                # stream takes the run its sentinel codes account for.
+                # run takes what its sentinel codes account for.
                 counts = (segment == self.quantizer.sentinel).sum(axis=1)
                 runs = np.split(qr.exact_values, np.cumsum(counts)[:-1])
                 for i in np.flatnonzero(counts):
                     exact_segments[i].append(runs[i])
 
-        # Only the entropy stage is per block: each payload must stand alone.
-        level_meta = {str(k): v for k, v in level_ebs.items()}
-        no_exact = np.zeros(0, dtype=np.float64)
-        encoded = []
-        for i in range(n):
-            exact = np.concatenate(exact_segments[i]) if exact_segments[i] else no_exact
-            if self.entropy == "huffman":
-                codes_blob = b"H" + lossless_compress(
-                    huffman_encode(codes[i]), backend="zlib", level=self.lossless_level
-                )
-            else:
-                codes_blob = b"Z" + encode_int_array(codes[i], level=self.lossless_level)
-            payload = pack_streams(
-                {
-                    "codes": codes_blob,
-                    "exact": encode_float_array(exact, level=self.lossless_level),
-                    "anchors": encode_float_array(anchors[i], level=self.lossless_level),
-                }
+        metadata = {
+            "interpolation": self.interpolation,
+            "entropy": self.entropy,
+            "max_level": plan.max_level,
+            "level_error_bounds": {str(k): v for k, v in level_ebs.items()},
+            "quantizer_radius": self.quantizer.radius,
+        }
+        exact = [np.concatenate(segments) if segments else _NO_EXACT for segments in exact_segments]
+        payloads = [slice(0, n)] if merged else [slice(i, i + 1) for i in range(n)]
+        return [
+            self._entropy_pack(codes[rows], anchors[rows], exact[rows], metadata)
+            for rows in payloads
+        ]
+
+    def _entropy_pack(
+        self,
+        codes: np.ndarray,
+        anchors: np.ndarray,
+        exact: List[np.ndarray],
+        metadata: Dict,
+    ) -> Tuple[bytes, Dict]:
+        """One payload for the blocks given: one code stream, one anchor
+        stream, the blocks' exact values back to back.  More than one block
+        makes it a *stack* payload, which also says where each block's exact
+        values end."""
+        if self.entropy == "huffman":
+            codes_blob = b"H" + lossless_compress(
+                huffman_encode(codes.ravel()), backend="zlib", level=self.lossless_level
             )
-            metadata = {
-                "interpolation": self.interpolation,
-                "entropy": self.entropy,
-                "max_level": plan.max_level,
-                "level_error_bounds": dict(level_meta),
-                "n_unpredictable": int(exact.size),
-                "quantizer_radius": self.quantizer.radius,
-            }
-            encoded.append((payload, metadata))
-        return encoded
+        else:
+            codes_blob = b"Z" + encode_int_array(codes, level=self.lossless_level)
+        streams = {
+            "codes": codes_blob,
+            "exact": encode_float_array(np.concatenate(exact), level=self.lossless_level),
+            "anchors": encode_float_array(anchors, level=self.lossless_level),
+        }
+        metadata = dict(
+            metadata,
+            level_error_bounds=dict(metadata["level_error_bounds"]),  # one per payload
+            n_unpredictable=sum(run.size for run in exact),
+        )
+        if len(codes) > 1:
+            streams["n_exact"] = encode_int_array(
+                np.array([run.size for run in exact], dtype=np.int64), level=self.lossless_level
+            )
+            metadata["stack"] = True
+        return pack_streams(streams), metadata
 
     # -- decompression ------------------------------------------------------
     def _decompress_impl(self, compressed: CompressedArray) -> np.ndarray:
         recon = np.empty(tuple(compressed.shape), dtype=np.float64)
-        self._decode_stack([compressed], recon[None])
+        self._decode_stack(_block_rows(compressed, recon), [(compressed, None)])
         return recon
 
     def _decompress_into_impl(
@@ -190,7 +232,7 @@ class SZ3Compressor(Compressor):
         # a window of a query's output array — with no block temporary.
         if out.dtype != np.float64:
             return self._decompress_impl(compressed)
-        self._decode_stack([compressed], out[None])
+        self._decode_stack(_block_rows(compressed, out), [(compressed, None)])
         return None
 
     def decompress_batch(
@@ -198,46 +240,89 @@ class SZ3Compressor(Compressor):
         items: Sequence[CompressedArray],
         outs: Optional[Sequence[np.ndarray]] = None,
         srcs: Optional[Sequence] = None,
+        slots: Optional[Sequence[Sequence[int]]] = None,
     ) -> Sequence[np.ndarray]:
-        results: List[Optional[np.ndarray]] = [None] * len(items)
-        for part in self._stackable(items):
-            if len(part) == 1:
-                # A stack of one is the single-array call: it owns its
+        if slots is None:
+            slots = [None] * len(items)  # every payload whole, as one array
+        # Item i's results are first[i]:first[i + 1] of the request.
+        first = np.cumsum([0] + [1 if wanted is None else len(wanted) for wanted in slots]).tolist()
+        results: List[Optional[np.ndarray]] = [None] * first[-1]
+
+        def deliver(k: int, block: np.ndarray) -> None:
+            if outs is None:
+                # A view would pin the whole stack for as long as a cache
+                # keeps this one block.
+                results[k] = block.copy()
+            else:
+                src = None if srcs is None else srcs[k]
+                np.copyto(outs[k], block if src is None else block[src])
+
+        for call in self._stackable(items, slots):
+            lone = call[0]
+            if (
+                len(call) == 1
+                and items[lone].n_blocks == 1
+                and (slots[lone] is None or list(slots[lone]) == [0])
+            ):
+                # One plain payload is the single-array call: it owns its
                 # result, or reconstructs inside the destination.
-                i = part[0]
+                k = first[lone]
                 if outs is None:
-                    results[i] = self.decompress(items[i])
+                    results[k] = self.decompress(items[lone])
                 else:
-                    self.decompress_into(items[i], outs[i], None if srcs is None else srcs[i])
+                    self.decompress_into(items[lone], outs[k], None if srcs is None else srcs[k])
                 continue
-            stack = np.empty((len(part),) + tuple(items[part[0]].shape), dtype=np.float64)
-            self._decode_stack([items[i] for i in part], stack)
-            for block, i in zip(stack, part):
-                if outs is None:
-                    # A view would pin the whole stack for as long as a
-                    # cache keeps this one block.
-                    results[i] = block.copy()
+            parts = [(items[i], slots[i]) for i in call]
+            n_rows = sum(c.n_blocks if wanted is None else len(wanted) for c, wanted in parts)
+            stack = np.empty((n_rows,) + items[lone].block_shape, dtype=np.float64)
+            self._decode_stack(stack, parts)
+            row = 0
+            for i in call:
+                if slots[i] is None:
+                    whole = stack[row : row + items[i].n_blocks]
+                    deliver(first[i], whole.reshape(items[i].shape))
+                    row += len(whole)
                 else:
-                    src = None if srcs is None else srcs[i]
-                    np.copyto(outs[i], block if src is None else block[src])
+                    for k in range(first[i], first[i + 1]):
+                        deliver(k, stack[row])
+                        row += 1
         return results if outs is None else outs
 
-    def _stackable(self, items: Sequence[CompressedArray]) -> Iterator[List[int]]:
-        """Positions of payloads one kernel call can take together: equal
-        :func:`_decode_spec`, at most ``_STACK_BYTES`` decoded."""
+    def _stackable(
+        self, items: Sequence[CompressedArray], slots: Sequence[Optional[Sequence[int]]]
+    ) -> Iterator[List[int]]:
+        """Positions of the payloads one kernel call takes together: equal
+        :func:`_decode_spec`, and as many as keep the blocks wanted of them
+        within ``_STACK_BYTES`` decoded — a payload is never cut in two, so it
+        is inflated once."""
         groups: Dict[Tuple, List[int]] = {}
         for i, compressed in enumerate(items):
             self._check_codec(compressed)
             groups.setdefault(_decode_spec(compressed), []).append(i)
         for spec, members in groups.items():
             per_call = _blocks_per_stack(spec[0])
-            for start in range(0, len(members), per_call):
-                yield members[start : start + per_call]
+            call: List[int] = []
+            n_rows = 0
+            for i in members:
+                wanted = items[i].n_blocks if slots[i] is None else len(slots[i])
+                if call and n_rows + wanted > per_call:
+                    yield call
+                    call, n_rows = [], 0
+                call.append(i)
+                n_rows += wanted
+            if call:
+                yield call
 
-    def _decode_stack(self, items: Sequence[CompressedArray], recon: np.ndarray) -> None:
-        """The decode kernel: reconstruct payloads that agree on
-        :func:`_decode_spec` into ``recon``, an ``(len(items), *shape)`` view."""
-        meta = items[0].metadata
+    def _decode_stack(
+        self,
+        recon: np.ndarray,
+        parts: Sequence[Tuple[CompressedArray, Optional[Sequence[int]]]],
+    ) -> None:
+        """The decode kernel: reconstruct into ``recon`` — an ``(R, *shape)``
+        view — the blocks ``parts`` names, payload by payload: ``(payload,
+        slots)`` takes those blocks of the payload, ``(payload, None)`` all of
+        them.  The payloads agree on :func:`_decode_spec`."""
+        meta = parts[0][0].metadata
         plan = build_plan(recon.shape[1:])
         level_ebs = {int(k): float(v) for k, v in meta["level_error_bounds"].items()}
         interpolation = meta.get("interpolation", "cubic")
@@ -245,35 +330,27 @@ class SZ3Compressor(Compressor):
             radius=int(meta.get("quantizer_radius", DEFAULT_CODE_RADIUS))
         )
 
-        # Only the entropy stage is per block: unpack each payload's streams.
+        # The entropy stage is per payload: each is inflated once, and only
+        # the rows wanted of it go on to the traversal.
         anchor = (slice(None),) + plan.anchor
         anchor_shape = recon[anchor].shape
         n_anchors = math.prod(anchor_shape[1:])
         code_rows, anchor_rows, exact = [], [], []
-        for compressed in items:
-            streams = unpack_streams(compressed.payload)
-            codes_blob = streams["codes"]
-            tag, body = codes_blob[:1], codes_blob[1:]
-            if tag == b"H":
-                row = huffman_decode(lossless_decompress(body))
-            elif tag == b"Z":
-                row = decode_int_array(body)
-            else:
-                raise DecompressionError(f"unknown code-stream tag {bytes(tag)!r}")
-            if row.size < plan.n_codes:
-                raise DecompressionError("quantization-code stream exhausted prematurely")
-            if row.size > plan.n_codes:
-                raise DecompressionError(
-                    f"code stream has {row.size - plan.n_codes} unused entries"
-                )
-            code_rows.append(row)
-            exact.append(decode_float_array(streams["exact"]))
-            anchors = decode_float_array(streams["anchors"])
-            if anchors.size != n_anchors:
-                raise DecompressionError("anchor stream size mismatch")
+        for compressed, wanted in parts:
+            codes, anchors, runs = _entropy_unpack(compressed, plan.n_codes, n_anchors)
+            if wanted is not None:
+                wanted = np.asarray(wanted, dtype=np.int64)
+                if wanted.size and not 0 <= wanted.min() <= wanted.max() < len(codes):
+                    raise DecompressionError(
+                        f"asked for blocks {wanted.min()}..{wanted.max()} of a payload "
+                        f"holding {len(codes)}"
+                    )
+                codes, anchors, runs = codes[wanted], anchors[wanted], [runs[s] for s in wanted]
+            code_rows.append(codes)
             anchor_rows.append(anchors)
-        # (A lone row is viewed, not copied: a whole array's codes are large.)
-        codes = code_rows[0][None] if len(items) == 1 else np.stack(code_rows)
+            exact.extend(runs)
+        # (A lone payload is viewed, not copied: a whole array's codes are large.)
+        codes = code_rows[0] if len(parts) == 1 else np.concatenate(code_rows)
 
         # Zero-fill first: the traversal writes every cell, but correctness
         # never rests on that coverage argument.
@@ -281,8 +358,7 @@ class SZ3Compressor(Compressor):
         recon[anchor] = np.concatenate(anchor_rows).reshape(anchor_shape)
 
         cursor = 0
-        exact_cursor = [0] * len(items)
-        no_exact = np.zeros(0, dtype=np.float64)
+        exact_cursor = [0] * len(exact)
         for step in plan.steps:
             eb_level = level_ebs.get(step.level)
             if eb_level is None:
@@ -290,7 +366,7 @@ class SZ3Compressor(Compressor):
             pred = predict_step(recon, step, mode=interpolation)
             segment = codes[:, cursor : cursor + step.size]
             cursor += step.size
-            step_exact = no_exact
+            step_exact = _NO_EXACT
             unpredictable = segment == quantizer.sentinel
             if unpredictable.any():
                 # dequantize consumes exact values in stack order: hand it
@@ -310,6 +386,64 @@ class SZ3Compressor(Compressor):
             recon[(slice(None),) + step.target] = values.reshape(pred.shape)
 
 
+_NO_EXACT = np.zeros(0, dtype=np.float64)
+
+
+def _entropy_unpack(
+    compressed: CompressedArray, n_codes: int, n_anchors: int
+) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+    """Inflate one payload: ``(N, n_codes)`` codes, ``(N, n_anchors)`` anchors
+    and each of its ``N`` blocks' exact values."""
+    n = compressed.n_blocks
+    streams = unpack_streams(compressed.payload)
+    codes_blob = streams["codes"]
+    tag, body = codes_blob[:1], codes_blob[1:]
+    if tag == b"H":
+        codes = huffman_decode(lossless_decompress(body))
+    elif tag == b"Z":
+        codes = decode_int_array(body)
+    else:
+        raise DecompressionError(f"unknown code-stream tag {bytes(tag)!r}")
+    if codes.size < n * n_codes:
+        raise DecompressionError("quantization-code stream exhausted prematurely")
+    if codes.size > n * n_codes:
+        raise DecompressionError(f"code stream has {codes.size - n * n_codes} unused entries")
+    anchors = decode_float_array(streams["anchors"])
+    if anchors.size != n * n_anchors:
+        raise DecompressionError("anchor stream size mismatch")
+    exact = decode_float_array(streams["exact"])
+    if n == 1:
+        return codes.reshape(1, n_codes), anchors.reshape(1, n_anchors), [exact]
+    if "n_exact" not in streams:
+        raise DecompressionError("stack payload without per-block exact-value counts")
+    n_exact = decode_int_array(streams["n_exact"])
+    if n_exact.size != n:
+        raise DecompressionError(
+            f"stack of {n} blocks carries {n_exact.size} exact-value counts"
+        )
+    if n_exact.min() < 0 or n_exact.sum() != exact.size:
+        raise DecompressionError(
+            f"exact-value counts add up to {n_exact.sum()} but the stream holds {exact.size}"
+        )
+    runs = [_NO_EXACT] * n
+    ends = np.cumsum(n_exact)
+    for i in np.flatnonzero(n_exact):
+        runs[i] = exact[ends[i] - n_exact[i] : ends[i]]
+    return codes.reshape(n, n_codes), anchors.reshape(n, n_anchors), runs
+
+
+def _block_rows(compressed: CompressedArray, array: np.ndarray) -> np.ndarray:
+    """``array``, shaped like the payload, as ``(n_blocks, *block_shape)``."""
+    return array if compressed.metadata.get("stack") else array[None]
+
+
+def _kernel_runs(stack: np.ndarray) -> Iterator[np.ndarray]:
+    """``stack`` cut into the consecutive runs one kernel call takes."""
+    per_call = _blocks_per_stack(stack.shape[1:])
+    for start in range(0, len(stack), per_call):
+        yield stack[start : start + per_call]
+
+
 def _blocks_per_stack(shape: Tuple[int, ...]) -> int:
     return max(1, _STACK_BYTES // max(8, 8 * math.prod(shape)))
 
@@ -319,7 +453,7 @@ def _decode_spec(compressed: CompressedArray) -> Tuple:
     can be reconstructed as one stack (``n_unpredictable`` may differ)."""
     meta = compressed.metadata
     return (
-        tuple(compressed.shape),
+        compressed.block_shape,
         meta.get("interpolation", "cubic"),
         meta.get("quantizer_radius", DEFAULT_CODE_RADIUS),
         tuple(meta["level_error_bounds"].items()),

@@ -24,6 +24,7 @@ from repro.amr.grid import AMRHierarchy
 from repro.api.error_bound import ErrorBound
 from repro.compressors import SZ2Compressor, SZ3Compressor, ZFPCompressor
 from repro.compressors.base import CompressedArray, Compressor
+from repro.compressors.errors import CompressionError
 from repro.core.adaptive_eb import DEFAULT_ALPHA, DEFAULT_BETA, adaptive_level_error_bounds
 from repro.core.padding import PadInfo, pad_small_dimensions, should_pad, unpad
 from repro.core.partition import (
@@ -226,6 +227,12 @@ class MultiResolutionCompressor:
         Table IV reports separately from compression + writing.
         """
         u = unit_size if unit_size is not None else self.unit_size
+        if mask is not None and not mask.any():
+            raise CompressionError(
+                f"level {level_index} owns no cell (the snapshot is fully refined, or "
+                "not refined at all); the merged v1 container cannot hold an empty "
+                "level — Store.append stores it as a level of zero blocks"
+            )
         block_set = extract_unit_blocks(level_data, mask=mask, unit_size=u)
         u = block_set.unit_size
 
@@ -262,10 +269,9 @@ class MultiResolutionCompressor:
     ) -> UnitBlockSet:
         """Cut one level into Morton-ordered unit blocks without merging them.
 
-        Unlike :meth:`prepare_level` the blocks are kept separate so each can
-        be encoded into its own payload; that is what gives the block store
-        random access (decode only the blocks a query touches) at the price
-        of per-block compression overhead.
+        Unlike :meth:`prepare_level` the blocks are kept separate, so the
+        block store can index each and reconstruct only the blocks a query
+        touches (it still entropy-codes them a stack at a time).
         """
         u = unit_size if unit_size is not None else self.unit_size
         return extract_unit_blocks(level_data, mask=mask, unit_size=u)

@@ -7,10 +7,14 @@ nothing more, but every post-hoc workload in the paper — ROI rate-distortion
 sub-region and should not pay for inflating a whole timestep.  This
 subsystem is the production substrate for those access patterns:
 
-* **format v2** (:mod:`repro.store.format`): every Morton-ordered unit block
-  is encoded into its own standalone payload, and a per-block
+* **container format** (:mod:`repro.store.format`, version 3): a level's
+  Morton-ordered unit blocks are stored as *stack payloads* — each Morton run
+  the codec's batched kernel takes at once (``sz3._STACK_BYTES`` decoded: 512
+  blocks at unit 4, 64 at unit 8, 8 at unit 16, one 32^3 Morton cube of a
+  full level) is entropy-coded together, one header and one set of streams,
+  which is how the paper's SZ3MR gets its ratio — and a per-block
   ``(level, coords, offset, length)`` index in the file head lets
-  :class:`~repro.store.format.ContainerReader` decode only the blocks a
+  :class:`~repro.store.format.ContainerReader` reconstruct only the blocks a
   query touches (``read_blocks`` / ``read_roi``);
 * **catalog** (:mod:`repro.store.catalog`): a :class:`~repro.store.catalog.Store`
   directory maps ``(field, step)`` to containers through a JSON manifest with
@@ -18,7 +22,8 @@ subsystem is the production substrate for those access patterns:
 * **codec entry points** (:mod:`repro.store.engine`): a level's unit blocks
   are encoded (:class:`~repro.store.engine.CodecEngine`) and a request's
   payloads decoded as one batched codec call each; the codec alone decides
-  how many blocks share a kernel call, and there is nothing to configure.
+  how many blocks share a kernel call and a payload, and there is nothing to
+  configure.
 
 The primary *read* surface sits one package up: :mod:`repro.array` wraps
 readers and stores in lazy NumPy-style views (``store[field, step]``,
@@ -29,17 +34,25 @@ Container layout (``.rps2``)
 ----------------------------
 ::
 
-    +--------+-------------+----------------+---------------------+------------------+
-    | b"RPS2"| u32 hdr_len | JSON header    | block index         | payloads         |
-    |  magic |             | version, eb,   | n_entries records:  | one CompressedArray
-    |        |             | codec, levels, | (level, c0, c1, c2, | blob per unit    |
-    |        |             | metadata       |  offset, length)    | block, Morton    |
-    |        |             |                | 6 x int64 each      | order per level  |
-    +--------+-------------+----------------+---------------------+------------------+
+    +--------+-------------+----------------+--------------------+--------------------+
+    | b"RPS2"| u32 hdr_len | JSON header    | block index        | payloads           |
+    |  magic |             | version 3, eb, | one row per block: | one CompressedArray|
+    |        |             | codec, levels, | (level, c0, c1, c2,| blob per stack of  |
+    |        |             | metadata,      |  offset, length),  | blocks, ordered by |
+    |        |             | index_nbytes   | columns, deflated  | the Morton code of |
+    |        |             |                |                    | its first block    |
+    +--------+-------------+----------------+--------------------+--------------------+
 
-Payload offsets are relative to the data section, so the header + index
-(two small reads) are all a reader needs before seeking straight to any
-block.
+The blocks of a stack are consecutive index rows with the same
+``(offset, length)``; a block's slot in its payload is its rank among them.
+Payload offsets are relative to the data section, so the header + index (two
+small reads, one inflate) are all a reader needs before seeking straight to
+the payload of any block.  What a read costs: the *fetch and inflate* of every
+stack it touches (at most 256 KiB decoded each), the *reconstruction* of
+exactly the blocks it asked for — and the block cache holds blocks, not
+stacks.  Codecs without a shared entropy stage (SZ2, ZFP) write one block per
+payload; version-2 files (always one block per payload, index stored as raw
+48-byte records) are read by the same code.
 
 Catalog manifest schema (``manifest.json``)
 -------------------------------------------

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.amr.grid import AMRHierarchy
 from repro.api.error_bound import ErrorBound
+from repro.compressors.errors import DecompressionError
 from repro.core.mr_compressor import MultiResolutionCompressor
 from repro.store.engine import CodecEngine
 from repro.store.format import BlockLevel, ContainerReader, write_container
@@ -235,14 +236,13 @@ class Store:
             )
 
         rel_path = Path(field) / f"step{int(step):05d}.rps2"
-        write_container(
+        written = write_container(
             self.root / rel_path,
             block_levels,
             error_bound=eb,
             codec=self.compressor.describe(),
             metadata={"field": str(field), "step": int(step)},
         )
-        reader = ContainerReader(self.root / rel_path)
         entry = StoreEntry(
             field=str(field),
             step=int(step),
@@ -250,9 +250,9 @@ class Store:
             error_bound=eb,
             codec=self.compressor.describe(),
             n_levels=len(block_levels),
-            n_blocks=reader.n_blocks,
-            nbytes_original=reader.nbytes_original,
-            nbytes_compressed=reader.nbytes_compressed,
+            n_blocks=written["n_blocks"],
+            nbytes_original=written["nbytes_original"],
+            nbytes_compressed=written["nbytes_compressed"],
         )
         self._entries[key] = entry
         self._write_manifest()
@@ -435,14 +435,28 @@ class Store:
         return self.array(field, step, level=level).read_roi(bbox)
 
     def summary(self) -> str:
-        """Fixed-width catalog listing (what ``repro store ls`` prints)."""
+        """Fixed-width catalog listing (what ``repro store ls`` prints).
+
+        ``fmt`` and ``payloads`` come from each container's own head: the
+        format version it was written in and how many payloads hold its
+        blocks (``?`` where the file does not open).
+        """
         lines = [f"store {self.root} — {len(self)} entries"]
-        header = f"{'field':<16} {'step':>6} {'levels':>6} {'blocks':>7} {'ratio':>8}  path"
+        header = (
+            f"{'field':<16} {'step':>6} {'levels':>6} {'blocks':>7} {'payloads':>8} "
+            f"{'fmt':>3} {'ratio':>8}  path"
+        )
         lines.append(header)
         lines.append("-" * len(header))
         for e in self.entries():
+            try:
+                with ContainerReader(self.root / e.path) as reader:
+                    described = reader.describe()
+                fmt, payloads = f"v{described['format_version']}", str(described["n_payloads"])
+            except DecompressionError:
+                fmt = payloads = "?"
             lines.append(
-                f"{e.field:<16} {e.step:>6d} {e.n_levels:>6d} {e.n_blocks:>7d} "
-                f"{e.compression_ratio:>7.2f}x  {e.path}"
+                f"{e.field:<16} {e.step:>6d} {e.n_levels:>6d} {e.n_blocks:>7d} {payloads:>8} "
+                f"{fmt:>3} {e.compression_ratio:>7.2f}x  {e.path}"
             )
         return "\n".join(lines)

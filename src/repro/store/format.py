@@ -1,23 +1,36 @@
-"""Block-level container format v2 (``.rps2``) — write once, read any block.
+"""Block container format (``.rps2``, version 3) — write once, read any block.
 
 Unlike the v1 hierarchy container (:mod:`repro.insitu.io`), which compresses
-each resolution level into one monolithic merged-array payload, v2 encodes
-every Morton-ordered unit block into its own standalone payload and records a
-per-block ``(level, coords, offset, length)`` index in the file head.  A
-reader can therefore decode exactly the blocks a query touches: a halo
-neighbourhood, an isosurface ROI, or a single coarse level — without
-inflating the rest of the timestep.
+each resolution level into one monolithic merged-array payload, a block
+container keeps every Morton-ordered unit block addressable: a per-block
+``(level, coords, offset, length)`` index in the file head says which payload
+a block lives in, and a reader decodes exactly the blocks a query touches — a
+halo neighbourhood, an isosurface ROI, or a single coarse level — without
+reconstructing the rest of the timestep.
 
 File layout (see :mod:`repro.store` for the full diagram)::
 
     b"RPS2" | u32 header_len | JSON header | block index | payload ... payload
 
 The JSON header carries the format version, error bound, codec description,
-free-form metadata and the per-level geometry (shape, unit size, block count,
-original bytes); the binary index is documented in
+free-form metadata, the per-level geometry (shape, unit size, block count,
+original bytes) and the size of the index section; the index is documented in
 :mod:`repro.store.index`; each payload is a self-describing
 :class:`~repro.compressors.base.CompressedArray` blob, so containers remain
 decodable without any state from the writing process.
+
+A payload holds one block or a *stack* of them (a Morton run the codec
+entropy-coded together; its header says how many).  The blocks of a stack
+share its ``(offset, length)`` in the index, so the unit of *storage* is the
+stack — one header, one entropy stage, one fetch, which is where the ratio of
+the paper's merged arrangement comes from — while the unit of prediction, of
+a read and of the block cache stays the block: reading one block fetches and
+inflates its stack, and reconstructs that block only.
+
+Version 2 files (one payload per block, raw index records) are the same
+format with every stack of size one and are read by the same code; the
+reader's only version branch is how the index section is stored.  Only
+version 3 is written.
 """
 
 from __future__ import annotations
@@ -33,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.compressors.base import CompressedArray
 from repro.compressors.errors import DecompressionError
 from repro.core.partition import UnitBlockSet
 from repro.obs import REGISTRY
@@ -44,8 +58,7 @@ from repro.utils.morton import morton_encode2d, morton_encode3d
 
 __all__ = ["BlockLevel", "LevelInfo", "ContainerReader", "write_container", "STORE_MAGIC"]
 
-STORE_MAGIC = b"RPS2"  # "RePro Store v2"
-FORMAT_VERSION = 2
+STORE_MAGIC = b"RPS2"  # "RePro Store"; the format version is in the header
 
 #: Merge payload ranges whose file gap is at most this many bytes into one
 #: fetch — about one page: reading a page-sized gap is cheaper than a second
@@ -132,11 +145,14 @@ def _morton_codes(coords: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BlockLevel:
-    """Per-block payloads of one resolution level, ready to be written.
+    """Payloads of one resolution level, ready to be written.
 
-    ``coords`` row *i* is the unit-block coordinate of ``payloads[i]``; the
-    writer re-sorts both by Morton code so the on-disk order is always the
-    space-filling-curve order regardless of how the caller produced them.
+    A payload holds one unit block or a stack of them, and says how many in
+    its own header; ``coords`` has one row per *block*, in payload order (the
+    rows of payload 0, then of payload 1, ...).  The writer re-sorts the
+    payloads by the Morton code of their first block, so one-block payloads
+    land in space-filling-curve order however the caller produced them, and
+    stacks — Morton runs as ``Store.append`` cuts them — stay whole.
     """
 
     level: int
@@ -144,22 +160,41 @@ class BlockLevel:
     unit_size: int
     coords: np.ndarray
     payloads: List[bytes]
+    #: Blocks held by each payload, read from the payload headers.
+    counts: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.coords = np.asarray(self.coords, dtype=np.int64)
-        if self.coords.shape[0] != len(self.payloads):
+        headers: Dict[bytes, dict] = {}
+        self.counts = np.array(
+            [CompressedArray.from_bytes(blob, headers).n_blocks for blob in self.payloads],
+            dtype=np.int64,
+        )
+        if self.coords.shape[0] != self.counts.sum():
             raise ValueError(
                 f"level {self.level}: {self.coords.shape[0]} coords but "
-                f"{len(self.payloads)} payloads"
+                f"{len(self.payloads)} payloads holding {self.counts.sum()} blocks"
             )
 
     @property
     def n_blocks(self) -> int:
-        return len(self.payloads)
+        return int(self.coords.shape[0])
 
     @property
     def nbytes_original(self) -> int:
         return self.n_blocks * (int(self.unit_size) ** len(self.level_shape)) * 8
+
+    def morton_ordered(self) -> Tuple[np.ndarray, List[bytes], np.ndarray]:
+        """``(coords, payloads, counts)`` with the payloads sorted by the
+        Morton code of their first block."""
+        starts = np.cumsum(self.counts) - self.counts
+        order = np.argsort(_morton_codes(self.coords[starts]), kind="stable")
+        counts = self.counts[order]
+        # Row r of the result is block (r - its payload's new start) of the
+        # payload that moved there.
+        shift = np.repeat(starts[order] - (np.cumsum(counts) - counts), counts)
+        rows = np.arange(self.n_blocks) + shift
+        return self.coords[rows], [self.payloads[k] for k in order], counts
 
 
 @dataclass
@@ -183,48 +218,42 @@ def write_container(
     error_bound: float,
     codec: str = "",
     metadata: Optional[Dict] = None,
-) -> int:
-    """Write a v2 block container; returns the number of bytes written."""
+) -> Dict[str, int]:
+    """Write a block container; returns what it wrote (``n_blocks``,
+    ``nbytes_original``, ``nbytes_compressed`` — the file size), as
+    :meth:`ContainerReader.describe` would report it."""
     if not levels:
         raise ValueError("a container needs at least one level")
-    ordered: List[BlockLevel] = []
-    for lvl in sorted(levels, key=lambda l: int(l.level)):
-        order = np.argsort(_morton_codes(lvl.coords), kind="stable")
-        ordered.append(
-            BlockLevel(
-                level=int(lvl.level),
-                level_shape=tuple(int(s) for s in lvl.level_shape),
-                unit_size=int(lvl.unit_size),
-                coords=lvl.coords[order],
-                payloads=[lvl.payloads[i] for i in order],
-            )
-        )
-
+    levels = sorted(levels, key=lambda lvl: int(lvl.level))
+    ordered = [lvl.morton_ordered() for lvl in levels]
     index = BlockIndex.build(
-        (lvl.level, lvl.coords, [len(p) for p in lvl.payloads]) for lvl in ordered
+        (lvl.level, coords, [len(blob) for blob in payloads], counts)
+        for lvl, (coords, payloads, counts) in zip(levels, ordered)
     )
+    index_blob = index.to_bytes()
     header = {
         "format": "repro-store-container",
-        "format_version": FORMAT_VERSION,
+        "format_version": 3,
         "error_bound": float(error_bound),
         "codec": str(codec),
         "metadata": dict(metadata or {}),
         "n_entries": index.n_entries,
+        "index_nbytes": len(index_blob),
         "levels": [
             {
-                "level": lvl.level,
-                "level_shape": list(lvl.level_shape),
-                "unit_size": lvl.unit_size,
+                "level": int(lvl.level),
+                "level_shape": [int(s) for s in lvl.level_shape],
+                "unit_size": int(lvl.unit_size),
                 "n_blocks": lvl.n_blocks,
                 "nbytes_original": lvl.nbytes_original,
             }
-            for lvl in ordered
+            for lvl in levels
         ],
     }
     header_blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    parts = [STORE_MAGIC, struct.pack("<I", len(header_blob)), header_blob, index.to_bytes()]
-    for lvl in ordered:
-        parts.extend(lvl.payloads)
+    parts = [STORE_MAGIC, struct.pack("<I", len(header_blob)), header_blob, index_blob]
+    for _, payloads, _ in ordered:
+        parts.extend(payloads)
     blob = b"".join(parts)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -234,16 +263,21 @@ def write_container(
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(blob)
     os.replace(tmp, path)
-    return len(blob)
+    return {
+        "n_blocks": index.n_entries,
+        "nbytes_original": sum(lvl.nbytes_original for lvl in levels),
+        "nbytes_compressed": len(blob),
+    }
 
 
 class ContainerReader:
-    """Random-access reader over one v2 container.
+    """Random-access reader over one block container (version 2 or 3).
 
     Opening a reader parses only the header and the block index (two small
-    reads); payloads are fetched lazily, and *coalesced*: the requested index
-    positions are sorted by file offset and merged into contiguous ranges
-    (adjacent or near-adjacent blocks cost one fetch, not one syscall each),
+    reads, one inflate); payloads are fetched lazily, and *coalesced*: the
+    payloads of the requested blocks are sorted by file offset and merged into
+    contiguous ranges (adjacent or near-adjacent ones cost one fetch, not one
+    syscall each; blocks of one stack share one payload),
     served zero-copy from a shared read-only memory map when the platform
     provides one, with a coalesced seek/read fallback otherwise.  ``stats``
     counts decoded blocks, payload bytes read and fetch ranges issued — the
@@ -277,7 +311,7 @@ class ContainerReader:
                     raise DecompressionError(f"{self.path}: truncated container head")
                 if head[:4] != STORE_MAGIC:
                     raise DecompressionError(
-                        f"{self.path}: not a v2 block container (bad magic {head[:4]!r})"
+                        f"{self.path}: not a block container (bad magic {head[:4]!r})"
                     )
                 (header_len,) = struct.unpack_from("<I", head, 4)
                 header_blob = fh.read(header_len)
@@ -290,31 +324,45 @@ class ContainerReader:
                         f"{self.path}: corrupt container header ({exc})"
                     ) from exc
                 version = int(header.get("format_version", 0))
-                if version != FORMAT_VERSION:
+                if version not in (2, 3):
                     raise DecompressionError(
                         f"{self.path}: unsupported container format version {version} "
-                        f"(this reader supports {FORMAT_VERSION})"
+                        "(this reader supports 2 and 3)"
                     )
-                n_entries = int(header["n_entries"])
-                index_blob = fh.read(n_entries * RECORD_BYTES)
+                # Version 2 stores the index rows raw, version 3 deflated;
+                # everything after the index is the same file.
+                raw_index = version == 2
                 try:
-                    self._index = BlockIndex.from_bytes(index_blob, n_entries)
+                    n_entries = int(header["n_entries"])
+                    index_nbytes = (
+                        n_entries * RECORD_BYTES if raw_index else int(header["index_nbytes"])
+                    )
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise DecompressionError(
+                        f"{self.path}: corrupt container header (no usable {exc})"
+                    ) from exc
+                self._data_start = 8 + header_len + index_nbytes
+                size = os.fstat(fh.fileno()).st_size
+                if index_nbytes < 0 or self._data_start > size:
+                    raise DecompressionError(
+                        f"{self.path}: truncated container (block index runs through "
+                        f"byte {self._data_start}, file has {size})"
+                    )
+                parse = BlockIndex.from_records if raw_index else BlockIndex.from_bytes
+                try:
+                    self._index = parse(fh.read(index_nbytes), n_entries)
                 except DecompressionError as exc:
                     raise DecompressionError(f"{self.path}: {exc}") from exc
         except OSError as exc:
             raise DecompressionError(f"{self.path}: cannot read container ({exc})") from exc
 
         self._header = header
-        self._data_start = 8 + header_len + n_entries * RECORD_BYTES
         # The payload section must actually be present: a container whose
         # index points past EOF (truncated copy, torn download) must fail at
         # *open*, not on the first unlucky fetch — Store.adopt leans on open
         # as its validation step before cataloging foreign files.
         if n_entries:
-            end = int(
-                (self._index.offsets.astype(np.int64) + self._index.lengths).max()
-            )
-            size = self.path.stat().st_size
+            end = int((self._index.offsets + self._index.lengths).max())
             if self._data_start + end > size:
                 raise DecompressionError(
                     f"{self.path}: truncated container (index expects "
@@ -423,14 +471,19 @@ class ContainerReader:
         except (ImportError, OSError, ValueError, OverflowError):
             return _FilePayloadSource(self.path)
 
-    def fetch_entries(self, positions: Sequence[int]) -> List[memoryview]:
+    def fetch_entries(
+        self, positions: Sequence[int], blocks: Optional[int] = None
+    ) -> List[memoryview]:
         """Raw payload buffers of the given index-entry positions, coalesced.
 
         Positions are sorted by file offset, merged into contiguous ranges
         (a gap of up to one page is read through), fetched once per range and
         handed back as zero-copy ``memoryview`` slices in the *requested*
-        order.  This is the only place payload bytes enter the process;
+        order — one per position, so blocks of one stack payload each get
+        that payload.  This is the only place payload bytes enter the process;
         ``fetch_ranges`` / ``fetch_bytes`` in :attr:`stats` count what it cost.
+        ``blocks`` only labels the trace span: how many blocks the caller is
+        after, when it asks for each of their payloads once.
         """
         positions = np.asarray(positions, dtype=np.int64)
         n = positions.shape[0]
@@ -441,7 +494,9 @@ class ContainerReader:
         lo, hi, which = coalesce_ranges(offsets, lengths, _COALESCE_GAP)
         source = self._payload_source()
         start = time.perf_counter()
-        with obs_span("fetch", blocks=n, source=source.kind) as sp:
+        with obs_span(
+            "fetch", blocks=n if blocks is None else blocks, source=source.kind
+        ) as sp:
             buffers = source.fetch(lo, hi)
             sizes = (hi - lo).tolist()
             for j, buf in enumerate(buffers):
@@ -457,7 +512,11 @@ class ContainerReader:
                 for w, r, ln in zip(which.tolist(), rel, lens)
             ]
             if sp is not None:
-                sp.set(ranges=len(buffers), bytes=int((hi - lo).sum()))
+                sp.set(
+                    payloads=int(np.unique(offsets).size),
+                    ranges=len(buffers),
+                    bytes=int((hi - lo).sum()),
+                )
         _FETCH_SECONDS.labels(source=source.kind).observe(time.perf_counter() - start)
         with self._stats_lock:
             self.stats["payload_bytes_read"] += int(lengths.sum())
@@ -466,19 +525,16 @@ class ContainerReader:
         return views
 
     def decode_entries(self, positions: Sequence[int]) -> List[np.ndarray]:
-        """Fetch and decode the payloads of the given index-entry positions.
+        """Fetch and decode the blocks at the given index-entry positions.
 
         The batched decode primitive behind every query: positions come from
-        :meth:`BlockIndex.select`, payloads are fetched coalesced (see
-        :meth:`fetch_entries`) and decoded as one batch
+        :meth:`BlockIndex.select`; the distinct payloads they live in are each
+        fetched once (coalesced, see :meth:`fetch_entries`) and inflated once,
+        and only the blocks asked for are reconstructed, as one batch
         (:func:`~repro.store.engine.decode_payloads`).  Lazy views
         (:mod:`repro.array`) call this for exactly their cache misses.
         """
-        payloads = self.fetch_entries(np.asarray(positions, dtype=np.int64))
-        with self._stats_lock:
-            self.stats["blocks_decoded"] += len(payloads)
-        with obs_span("decode", blocks=len(payloads)):
-            return decode_payloads(payloads)
+        return self._decode(positions, None, None)
 
     def decode_entries_into(
         self,
@@ -493,11 +549,44 @@ class ContainerReader:
         block array on the supporting codecs — the zero-copy half of
         :meth:`repro.array.CompressedArray.__getitem__`.
         """
-        payloads = self.fetch_entries(np.asarray(positions, dtype=np.int64))
+        self._decode(positions, outs, srcs)
+
+    def _decode(self, positions, outs, srcs) -> List[np.ndarray]:
+        positions = np.asarray(positions, dtype=np.int64)
+        n = positions.shape[0]
+        if n == 0:
+            return []
+        index = self._index
+        # In file order the blocks of one payload are neighbours.
+        order = None
+        if (positions[1:] < positions[:-1]).any():
+            order = np.argsort(positions, kind="stable")
+            positions = positions[order]
+            if outs is not None:
+                outs = [outs[i] for i in order]
+                srcs = None if srcs is None else [srcs[i] for i in order]
+        payload = index.payload_of[positions]
+        cuts = np.flatnonzero(payload[1:] != payload[:-1]) + 1
+        distinct = payload[np.concatenate(([0], cuts))]
+        slots = np.split(index.slots[positions], cuts)
+        payloads = self.fetch_entries(index.payload_starts[distinct], blocks=n)
         with self._stats_lock:
-            self.stats["blocks_decoded"] += len(payloads)
-        with obs_span("decode", blocks=len(payloads), into=True):
-            decode_payloads_into(payloads, outs, srcs)
+            self.stats["blocks_decoded"] += n
+        counts = index.payload_counts[distinct]
+        try:
+            with obs_span("decode", blocks=n, payloads=len(payloads), into=outs is not None):
+                if outs is not None:
+                    decode_payloads_into(payloads, outs, srcs, slots, counts)
+                    return []
+                blocks = decode_payloads(payloads, slots, counts)
+        except DecompressionError as exc:
+            raise DecompressionError(f"{self.path}: {exc}") from exc
+        if order is None:
+            return blocks
+        requested: List[np.ndarray] = [blocks[0]] * n
+        for k, i in enumerate(order.tolist()):
+            requested[i] = blocks[k]
+        return requested
 
     # -- queries --------------------------------------------------------------
     def read_blocks(self, level: int, region: Optional[BBox] = None) -> UnitBlockSet:
@@ -556,8 +645,10 @@ class ContainerReader:
             "path": str(self.path),
             "codec": self.codec,
             "error_bound": self.error_bound,
+            "format_version": int(self._header["format_version"]),
             "n_levels": len(self._levels),
             "n_blocks": self.n_blocks,
+            "n_payloads": self._index.n_payloads,
             "nbytes_original": self.nbytes_original,
             "nbytes_compressed": self.nbytes_compressed,
             "compression_ratio": round(self.compression_ratio, 3),

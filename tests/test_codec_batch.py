@@ -13,7 +13,8 @@ and every comparison is exact (``to_bytes()`` equality,
 * stacks where only some blocks carry unpredictable values, so every block's
   cursor into its own exact-value stream is exercised;
 * one ``decode_payloads`` call mixing shapes and codecs, in request order,
-  longer than one parse slice;
+  longer than one parse slice; the stack payloads the store's engine writes,
+  decoded whole, by slot and into windows;
 * who decides the batch size: the codec's byte bound — full stacks whatever
   the core count, one stack for a small read, bounded parsed headers;
 * every corruption the decoder types, raised from inside a batch exactly as
@@ -167,17 +168,34 @@ def test_mixed_shapes_and_codecs_keep_request_order():
         assert_array_equal(got, want)
 
 
-def test_engine_writes_the_serial_bytes():
-    blocks = _stack(_rng("engine"), (4, 4, 4), n=300)
+def test_engine_stacks_decode_to_the_serial_reconstruction():
+    """The engine merges a level into stack payloads; whole, by slot and into
+    windows they reconstruct what the per-block codec does."""
+    blocks = _stack(_rng("engine"), (4, 4, 4), n=700)
     codec = MultiResolutionCompressor(unit_size=4, adaptive_eb=True)
     payloads = CodecEngine.from_compressor(codec).encode_blocks(blocks, ERROR_BOUND)
-    assert payloads == [codec.codec.compress(b, ERROR_BOUND).to_bytes() for b in blocks]
-    outs = np.empty_like(blocks)
+    items = [CompressedArray.from_bytes(blob) for blob in payloads]
+    assert [(item.n_blocks, item.shape) for item in items] == [
+        (512, (512, 4, 4, 4)),
+        (188, (188, 4, 4, 4)),
+    ]
+    serial = [codec.decode_unit_block(codec.codec.compress(b, ERROR_BOUND)) for b in blocks]
+    assert_array_equal(np.concatenate(decode_payloads(payloads)), np.stack(serial))
+    outs = [np.empty(item.shape) for item in items]
     decode_payloads_into(payloads, outs)
-    for got, into, blob in zip(decode_payloads(payloads), outs, payloads):
-        want = codec.decode_unit_block(CompressedArray.from_bytes(blob))
+    assert_array_equal(np.concatenate(outs), np.stack(serial))
+
+    slots = [np.array([511, 0, 17]), np.array([187])]
+    wanted = [serial[511], serial[0], serial[17], serial[512 + 187]]
+    for got, want in zip(decode_payloads(payloads, slots, counts=[512, 188]), wanted):
         assert_array_equal(got, want)
-        assert_array_equal(into, want)
+        assert got.base is None  # owns its memory
+    windows = np.empty((4, 4, 4, 4))
+    decode_payloads_into(payloads, windows, None, slots)
+    assert_array_equal(windows, np.stack(wanted))
+    # The index's row count has to agree with the payload's own header.
+    with pytest.raises(DecompressionError, match="holds 188 blocks but 190 index rows"):
+        decode_payloads(payloads, slots, counts=[512, 190])
 
 
 # -- who decides the batch size ------------------------------------------------------
@@ -214,9 +232,9 @@ def test_the_codec_alone_sizes_the_stacks(cpu_count, kernel_calls, monkeypatch, 
 
     decoded = decode_payloads(payloads)
     assert kernel_calls["decode"] == [512] * 8
-    # Parsed headers are bounded by the slice, not by the level.
-    assert kernel_calls["batch"] == [_SLICE] * (4096 // _SLICE)
-    outs = np.empty_like(blocks)
+    # The level is eight stack payloads, one parse slice.
+    assert kernel_calls["batch"] == [8]
+    outs = np.empty_like(blocks).reshape(8, 512, 4, 4, 4)
     decode_payloads_into(payloads, outs)
     assert kernel_calls["decode"] == [512] * 16
     assert max(kernel_calls["batch"]) <= _SLICE

@@ -12,7 +12,9 @@ all-tiny magnitudes), through the two entry points the codec layers offer:
 * ``repro.compress`` → ``repro.decompress`` on 1-, 2- and 3-D arrays.
 
 A two-level hierarchy whose ROI is everything or nothing — one level owns no
-cell — is a legal snapshot and a row of the store table too.
+cell — is a legal snapshot and a row of the store table too; the merged v1
+writers (``run_workflow``, ``compress_hierarchy``, a store-less
+``InSituPipeline``) cannot hold it and refuse it with a typed error.
 
 The bound held against is the one the spec resolves to on the original data,
 so an entry that quietly recorded a looser bound fails too.  Inputs outside
@@ -111,6 +113,29 @@ def test_store_holds_a_hierarchy_with_an_unoccupied_level(tmp_path, roi_fraction
                 assert (decoded == -7.0).all()
             else:
                 assert np.abs(decoded - lvl.data)[lvl.mask].max() <= entry.error_bound
+
+
+@pytest.mark.parametrize("roi_fraction", [0.0, 1.0])
+def test_merged_v1_paths_refuse_a_hierarchy_with_an_unoccupied_level(roi_fraction):
+    """The v1 container has no empty level: its three writers say so, naming
+    the level and the path that can hold one."""
+    from repro.insitu import InSituPipeline
+    from repro.amr.simulation import SimulationSnapshot
+
+    original = _field("smooth", (32, 32, 32), roi_fraction)
+    hierarchy = extract_roi(original, roi_fraction=roi_fraction, block_size=8).hierarchy
+    (empty,) = [lvl.level for lvl in hierarchy.levels if not lvl.mask.any()]
+    message = f"level {empty} owns no cell.*Store.append"
+    mrc = MultiResolutionCompressor(unit_size=8)
+    for spec in BOUNDS.values():
+        with pytest.raises(CompressionError, match=message):
+            repro.run_workflow(hierarchy, error_bound=spec)
+        with pytest.raises(CompressionError, match=message):
+            mrc.compress_hierarchy(hierarchy, spec)
+        with pytest.raises(CompressionError, match=message):
+            InSituPipeline(mrc).process_snapshot(
+                SimulationSnapshot(step=1, time=0.0, field_name="f", data=hierarchy), spec
+            )
 
 
 @pytest.mark.parametrize("kind", FIELDS)

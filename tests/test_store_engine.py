@@ -25,7 +25,8 @@ def blocks():
 class TestCodecEngine:
     def test_decode_roundtrip(self, blocks):
         payloads = CodecEngine().encode_blocks(blocks, EB)
-        decoded = decode_payloads(payloads)
+        # One level is one stack payload; it decodes to the stack.
+        (decoded,) = decode_payloads(payloads)
         assert len(decoded) == blocks.shape[0]
         for recon, block in zip(decoded, blocks):
             assert np.abs(recon - block).max() <= EB * (1 + 1e-9)
