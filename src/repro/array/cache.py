@@ -12,13 +12,28 @@ instrumented with hit/miss/eviction counters that the tests and
 Keys are ``(token, level, block-coordinate)`` tuples, where ``token``
 namespaces the owning container, so one cache can safely back every view of a
 :class:`repro.store.Store`.
+
+A read consults the cache once for all its blocks: :meth:`BlockCache.get_many`
+is a loop of :meth:`~BlockCache.get` under one lock acquisition, and
+:meth:`~BlockCache.put_many` leaves exactly what a loop of
+:meth:`~BlockCache.put` would — the same entries in the same LRU order, the
+same ``hits`` / ``misses`` / ``evictions`` / ``nbytes`` / ``bytes_resident`` —
+without paying for the blocks that loop would insert only to evict again.
+Every put evicts from the least-recently-used end, so when the batch's keys
+are new the survivors are simply the longest suffix of "resident entries, then
+the batch" that fits both bounds: a whole-level read through a 512-block cache
+copies 512 blocks, not 4096, and it copies them before taking the lock,
+because which rows of a batch survive depends on the batch alone.  A batch
+that repeats a key or names a resident one replays the loop itself, with row
+numbers standing in for the blocks until the survivors are known.  The cache
+stays per block either way: a one-block miss decodes and stores one block.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 
@@ -81,6 +96,21 @@ class BlockCache:
             return int(block.nbytes)
         return int(getattr(base, "nbytes", block.nbytes))
 
+    def get_many(self, keys: Sequence[Hashable]) -> List[Optional[np.ndarray]]:
+        """``[get(key) for key in keys]`` under one lock acquisition: the same
+        results, recency and ``hits`` / ``misses``."""
+        with self._lock:
+            entries = self._entries
+            found = list(map(entries.get, keys))
+            hits = 0
+            for key, block in zip(keys, found):
+                if block is not None:
+                    entries.move_to_end(key)
+                    hits += 1
+            self.hits += hits
+            self.misses += len(found) - hits
+            return found
+
     def put(self, key: Hashable, block: np.ndarray) -> None:
         """Insert a decoded block, evicting the least recently used beyond capacity.
 
@@ -90,20 +120,75 @@ class BlockCache:
         """
         block.flags.writeable = False
         with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._nbytes -= old.nbytes
-                self._resident -= self._resident_nbytes(old)
-            self._entries[key] = block
-            self._nbytes += block.nbytes
-            self._resident += self._resident_nbytes(block)
-            while len(self._entries) > 1 and (
-                len(self._entries) > self.max_blocks or self._nbytes > self.max_bytes
-            ):
-                _, evicted = self._entries.popitem(last=False)
-                self._nbytes -= evicted.nbytes
-                self._resident -= self._resident_nbytes(evicted)
-                self.evictions += 1
+            self._insert(key, block)
+
+    def put_many(self, keys: Sequence[Hashable], blocks) -> None:
+        """What ``for i, key in enumerate(keys): put(key, blocks[i])`` leaves
+        behind, copying only the blocks that stay.
+
+        ``blocks`` is row-addressable — an ``(n, *shape)`` array, or any
+        sequence whose ``blocks[i]`` is such a row — and its rows share one
+        shape.  Each surviving row is copied into an array of its own, so an
+        entry pins exactly its ``nbytes`` whatever buffer the row came from.
+        """
+        keys = list(keys)
+        if not keys:
+            return
+        size = int(blocks[0].nbytes)
+        # When the keys are distinct and new, the survivors are the last
+        # `fit` rows whatever is resident, so they are copied before the lock
+        # is taken: a large batch does not stall concurrent gets.
+        fit = max(1, min(len(keys), self.max_blocks, self.max_bytes // size if size else len(keys)))
+        tail = [_owned(blocks[i]) for i in range(len(keys) - fit, len(keys))]
+        with self._lock:
+            entries = self._entries
+            if len(set(keys)) == len(keys) and entries.keys().isdisjoint(keys):
+                for _ in range(len(entries) - self._resident_survivors(len(keys), size)):
+                    self._evict_oldest()
+                self.evictions += len(keys) - fit
+                for key, block in zip(keys[len(keys) - fit :], tail):
+                    self._link(key, block)
+                return
+            for i, key in enumerate(keys):
+                self._insert(key, _Row(i, size))
+            for key, value in list(entries.items()):
+                if type(value) is _Row:
+                    entries[key] = _owned(blocks[value.row])  # in place: order kept
+
+    def _resident_survivors(self, n_new: int, size: int) -> int:  # repro: holds(_lock)
+        """How many of the newest resident entries stay once ``n_new`` fresh
+        ``size``-byte blocks are put: the longest suffix that still fits."""
+        count, nbytes, kept = n_new, n_new * size, 0
+        for block in reversed(self._entries.values()):
+            count += 1
+            nbytes += block.nbytes
+            if count > self.max_blocks or nbytes > self.max_bytes:
+                break
+            kept += 1
+        return kept
+
+    def _insert(self, key: Hashable, block) -> None:  # repro: holds(_lock)
+        """One :meth:`put`: replace, append as most recent, evict beyond capacity."""
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self._nbytes -= old.nbytes
+            self._resident -= self._resident_nbytes(old)
+        self._link(key, block)
+        while len(self._entries) > 1 and (
+            len(self._entries) > self.max_blocks or self._nbytes > self.max_bytes
+        ):
+            self._evict_oldest()
+
+    def _link(self, key: Hashable, block) -> None:  # repro: holds(_lock)
+        self._entries[key] = block
+        self._nbytes += block.nbytes
+        self._resident += self._resident_nbytes(block)
+
+    def _evict_oldest(self) -> None:  # repro: holds(_lock)
+        _, evicted = self._entries.popitem(last=False)
+        self._nbytes -= evicted.nbytes
+        self._resident -= self._resident_nbytes(evicted)
+        self.evictions += 1
 
     def clear(self) -> None:
         """Drop every entry (counters are kept; they describe the lifetime)."""
@@ -140,3 +225,22 @@ class BlockCache:
             f"BlockCache(size={s['size']}/{s['max_blocks']}, "
             f"hits={s['hits']}, misses={s['misses']}, evictions={s['evictions']})"
         )
+
+
+class _Row:
+    """Stand-in for row ``row`` of a :meth:`BlockCache.put_many` batch while
+    the loop it replays decides which rows stay; sized like the copy that
+    replaces it, which owns its memory."""
+
+    __slots__ = ("row", "nbytes")
+    base = None
+
+    def __init__(self, row: int, nbytes: int) -> None:
+        self.row = row
+        self.nbytes = nbytes
+
+
+def _owned(row: np.ndarray) -> np.ndarray:
+    block = np.array(row)  # a copy: entries never share a buffer
+    block.flags.writeable = False
+    return block

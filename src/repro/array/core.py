@@ -18,35 +18,45 @@ subclass for exactly two things:
 :class:`CompressedArray` is the local family: its ``_read`` compiles the
 index expression (:mod:`repro.array.indexing`) into the same bbox/block
 arithmetic every store query uses (:mod:`repro.store.query`), decodes **only
-the intersecting blocks** — the misses of one read as one codec batch — and
-pastes them into the result, consulting a bounded
-:class:`~repro.array.cache.BlockCache` so revisited blocks decode once.  The
+the intersecting blocks** and consults a bounded
+:class:`~repro.array.cache.BlockCache` so revisited blocks decode once.  A
+read moves stacks, not blocks: one ``get_many`` for all its blocks, one
+``decode`` call for all its misses, one ``put_many``, and every block lands
+through a *block-grid view* of the destination — ``dst.reshape(g0, e0, g1, e1,
+...)`` with the block axes moved first, so block ``(i, j, ...)`` of the read
+is ``[i, j, ...]`` — and the hits and each kernel stack the codec
+reconstructs paste in one advanced-index assignment each.  The destination
+is the result itself when the bbox lies on the block grid, and otherwise a
+scratch array covering the intersecting blocks whole, cropped once.  The
 served families (:mod:`repro.serve`, :mod:`repro.gateway`) ship the selector
 instead, and the daemon at the far end hands it to a :class:`CompressedArray`.
 
 The local view is source-agnostic: a :class:`ContainerSource` serves ``.rps2``
 block containers (and, via :class:`repro.store.Store`, whole stores), while a
 :class:`SingleBlockSource` wraps one compressed blob or an already-decoded
-ndarray as a single whole-domain block, so facade reconstructions share the
-indexing surface.  Not to be confused with
+ndarray as a single block shaped like the domain, so facade reconstructions
+share the indexing surface.  Not to be confused with
 :class:`repro.compressors.base.CompressedArray`, the *payload* container this
 view decodes from.
 
 Block sources implement a small duck-typed protocol::
 
     geometry             -> {level: (cell-space shape, occupied block count)}
-    unit_size(level)     -> unit block edge length of one level
+    block_shape(level)   -> per-axis block extents of one level
     intersecting(level, block_range) -> (handles, coords) of occupied blocks
-    decode(level, handles)           -> list of decoded block arrays
-    decode_into(level, handles, outs, srcs) -> decode straight into views
+    decode(level, handles, out)      -> block handles[i] written to out[i]
     token                -> hashable namespace for cache keys
     stats                -> dict of decode counters
+
+``out`` is row-addressable: ``out[rows] = stack`` takes many blocks in one
+assignment and ``out[i]`` is a writable view of one.
 """
 
 from __future__ import annotations
 
 import time
 from copy import copy as _clone
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -56,13 +66,7 @@ from repro.array.cache import BlockCache
 from repro.array.indexing import compile_index
 from repro.obs import REGISTRY
 from repro.obs import span as obs_span
-from repro.store.query import (
-    BBox,
-    bbox_to_block_range,
-    bounds_to_slices,
-    normalize_bbox,
-    paste_slices_batch,
-)
+from repro.store.query import BBox, normalize_bbox
 
 #: Where a read's blocks came from: served from the block cache or decoded.
 _READ_BLOCKS = REGISTRY.counter(
@@ -114,6 +118,10 @@ class ContainerSource:
     def unit_size(self, level: int) -> int:
         return self.reader.level_info(level).unit_size
 
+    def block_shape(self, level: int) -> Tuple[int, ...]:
+        info = self.reader.level_info(level)
+        return (info.unit_size,) * info.ndim
+
     def intersecting(
         self, level: int, block_range: Optional[BBox] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -122,17 +130,8 @@ class ContainerSource:
         coords = self.reader.index.coords[positions, : info.ndim]
         return positions, coords
 
-    def decode(self, level: int, handles: Sequence[int]) -> List[np.ndarray]:
-        return self.reader.decode_entries(handles)
-
-    def decode_into(
-        self,
-        level: int,
-        handles: Sequence[int],
-        outs: Sequence[np.ndarray],
-        srcs: Optional[Sequence] = None,
-    ) -> None:
-        self.reader.decode_entries_into(handles, outs, srcs)
+    def decode(self, level: int, handles: Sequence[int], out) -> None:
+        self.reader.decode_entries(handles, out)
 
     @property
     def stats(self) -> Dict[str, int]:
@@ -145,9 +144,8 @@ class SingleBlockSource:
     Wraps either a :class:`repro.compressors.base.CompressedArray` blob
     (decoded lazily, once) or an already-decoded ndarray, presenting both as a
     single-level, single-block domain so facade reconstructions answer the
-    same indexing surface as block containers.  The "unit size" is the longest
-    axis: the paste arithmetic only ever reads the overlap, so a non-cubic
-    whole-domain block is handled like any partially-overlapping unit block.
+    same indexing surface as block containers.  The block is shaped like the
+    domain, so it pastes through the same block grid as unit blocks do.
     """
 
     def __init__(self, shape: Sequence[int], compressed=None, decoded=None) -> None:
@@ -171,8 +169,8 @@ class SingleBlockSource:
     def geometry(self) -> Geometry:
         return {0: (self._shape, 1)}
 
-    def unit_size(self, level: int) -> int:
-        return max(1, *self._shape) if self._shape else 1
+    def block_shape(self, level: int) -> Tuple[int, ...]:
+        return self._shape
 
     def intersecting(
         self, level: int, block_range: Optional[BBox] = None
@@ -180,7 +178,7 @@ class SingleBlockSource:
         coords = np.zeros((1, len(self._shape)), dtype=np.int64)
         return np.zeros(1, dtype=np.int64), coords
 
-    def decode(self, level: int, handles: Sequence[int]) -> List[np.ndarray]:
+    def decode(self, level: int, handles: Sequence[int], out) -> None:
         if self._decoded is None:
             from repro.compressors import get_compressor
 
@@ -190,66 +188,47 @@ class SingleBlockSource:
                 get_compressor(self._compressed.codec).decompress(self._compressed),
                 dtype=np.float64,
             )
-        return [self._decoded]
-
-    def decode_into(
-        self,
-        level: int,
-        handles: Sequence[int],
-        outs: Sequence[np.ndarray],
-        srcs: Optional[Sequence] = None,
-    ) -> None:
-        block = self.decode(level, handles)[0]
-        for i, out in enumerate(outs):
-            src = None if srcs is None else srcs[i]
-            np.copyto(out, block if src is None else block[src])
+        out[: len(handles)] = self._decoded[None]
 
 
-class _PasteWindows:
-    """Lazy sequence of destination views ``out[dst_i]``.
+class _BlockGrid:
+    """The blocks of one read as rows of a block-grid view of its destination.
 
-    A many-small-blocks read plans thousands of paste windows; materialising
-    every view (plus its slice tuple) up front would hold them all alive for
-    the whole decode and show up as a near-array-sized tracemalloc peak.
-    Each access builds its window on demand, so at most one chunk's worth
-    exists at a time.
+    ``dst`` — a box made of whole blocks of extents ``(e0, e1, ...)`` — is
+    viewed as ``dst.reshape(g0, e0, g1, e1, ...)`` with the block axes moved
+    first, ``(g0, g1, ..., e0, e1, ...)``, and row ``r`` is the block at
+    box-relative block coordinate ``coords[r]``.  ``grid[rows] = stack`` is one
+    advanced-index assignment however many rows, ``grid[r]`` a writable view
+    of one block, ``grid[sel]`` the rows ``sel`` as another grid over the same
+    view; ``pasted[0]`` counts the assignments, shared across those grids.
     """
 
-    __slots__ = ("_out", "_bounds")
+    __slots__ = ("_blocks", "_coords", "pasted")
 
-    def __init__(self, out: np.ndarray, bounds: np.ndarray) -> None:
-        self._out = out
-        self._bounds = bounds
+    def __init__(self, blocks: np.ndarray, coords: np.ndarray, pasted: List[int]) -> None:
+        self._blocks = blocks
+        self._coords = coords
+        self.pasted = pasted
 
-    def __len__(self) -> int:
-        return len(self._bounds)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _PasteWindows(self._out, self._bounds[i])
-        sl = bounds_to_slices(self._bounds[i])
-        # A 0-d domain has an empty slice tuple, and out[()] would be a
-        # scalar, not a writable view.
-        return self._out[sl] if sl else self._out[...]
-
-
-class _PasteSources:
-    """Lazy sequence of source windows: ``None`` for fully-covered blocks
-    (decode straight into the destination), a slice tuple for edge blocks."""
-
-    __slots__ = ("_bounds", "_full")
-
-    def __init__(self, bounds: np.ndarray, full: np.ndarray) -> None:
-        self._bounds = bounds
-        self._full = full
+    @classmethod
+    def over(cls, dst: np.ndarray, extents: Sequence[int], coords: np.ndarray) -> "_BlockGrid":
+        ndim = len(extents)
+        interleaved = [n for size, e in zip(dst.shape, extents) for n in (size // e, e)]
+        axes = tuple(range(0, 2 * ndim, 2)) + tuple(range(1, 2 * ndim, 2))
+        return cls(dst.reshape(interleaved).transpose(axes), coords, [0])
 
     def __len__(self) -> int:
-        return len(self._bounds)
+        return len(self._coords)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _PasteSources(self._bounds[i], self._full[i])
-        return None if self._full[i] else bounds_to_slices(self._bounds[i])
+    def __getitem__(self, rows):
+        if isinstance(rows, (int, np.integer)):
+            # The ellipsis keeps a 0-d domain's block a view, not a scalar.
+            return self._blocks[(*self._coords[rows].tolist(), Ellipsis)]
+        return _BlockGrid(self._blocks, self._coords[rows], self.pasted)
+
+    def __setitem__(self, rows, stack) -> None:
+        self._blocks[(*self._coords[rows].T, Ellipsis)] = stack
+        self.pasted[0] += 1
 
 
 def describe_geometry(described: Mapping[str, Any]) -> Geometry:
@@ -383,6 +362,10 @@ class LazyArray:
         return self._account(*self._read("bbox", normalize_bbox(bbox, self.shape)))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            # NumPy 2's ``asarray(view, copy=False)``: materialising a lazy
+            # view always allocates, so "no copy" cannot be honoured.
+            raise ValueError("a lazy view has no buffer to share; materialising it always copies")
         out = np.asarray(self[...])
         if dtype is not None:
             out = out.astype(dtype, copy=False)
@@ -443,56 +426,48 @@ class CompressedArray(LazyArray):
     def _read_bbox(self, bbox: BBox) -> Tuple[np.ndarray, int, int]:
         """``(array, blocks touched, blocks decoded)`` for one clamped bbox."""
         start = time.perf_counter()
-        source = self._source
-        unit = source.unit_size(self._level)
-        handles, coords = source.intersecting(
-            self._level, bbox_to_block_range(bbox, unit)
-        )
-        out = np.full(
-            tuple(hi - lo for lo, hi in bbox), self.fill_value, dtype=np.float64
-        )
+        source, level, cache = self._source, self._level, self.cache
+        extents = source.block_shape(level)
+        block_range = tuple((lo // e, -(-hi // e)) for (lo, hi), e in zip(bbox, extents))
+        handles, coords = source.intersecting(level, block_range)
         n = len(handles)
         if not n:
             _READ_SECONDS.observe(time.perf_counter() - start)
-            return out, 0, 0
-        # Plan every paste in a handful of vectorised calls (no per-block
-        # Python arithmetic), then decode straight into the output windows:
-        # fully-covered blocks reconstruct in place, edge blocks paste only
-        # their overlap.  Windows are built lazily, one chunk at a time.
-        dst_bounds, src_bounds, full = paste_slices_batch(coords, unit, bbox)
-        dsts = _PasteWindows(out, dst_bounds)
-        srcs = _PasteSources(src_bounds, full)
-        if self.cache is None:
-            source.decode_into(self._level, handles, dsts, srcs)
-            _BLOCKS_DECODED.inc(n)
-            _READ_SECONDS.observe(time.perf_counter() - start)
-            return out, n, n
-        token, level = source.token, self._level
-        coords_list = coords.tolist()
-        missing = []
-        with obs_span("paste", blocks=n) as sp:
-            for i in range(n):
-                block = self.cache.get((token, level, tuple(coords_list[i])))
-                if block is None:
-                    missing.append(i)
-                else:
-                    src = srcs[i]
-                    np.copyto(dsts[i], block if src is None else block[src])
-            if sp is not None:
-                sp.set(hits=n - len(missing))
+            return np.full(tuple(hi - lo for lo, hi in bbox), self.fill_value), 0, 0
+        # The box of whole blocks covering the bbox: every block pastes whole.
+        box = tuple((b0 * e, b1 * e) for (b0, b1), e in zip(block_range, extents))
+        dst = np.full(tuple(hi - lo for lo, hi in box), self.fill_value, dtype=np.float64)
+        grid = _BlockGrid.over(dst, extents, coords - [b0 for b0, _ in block_range])
+        keys: List = []
+        hits: List = [None] * n
+        if cache is not None:
+            keys = list(zip(repeat(source.token), repeat(level), map(tuple, coords.tolist())))
+            hits = cache.get_many(keys)
+        missing = [i for i, block in enumerate(hits) if block is None]
+        # A read that hits nothing (every cold one) decodes into the whole grid.
+        cold = len(missing) == n
+        misses = grid if cold else grid[missing]
         if missing:
-            # Cache misses decode once into their (read-only) cache slot —
-            # the block must outlive this query — then paste the overlap.
-            decoded = source.decode(self._level, [handles[i] for i in missing])
-            with obs_span("paste", blocks=len(missing), decoded=True):
-                for i, block in zip(missing, decoded):
-                    self.cache.put((token, level, tuple(coords_list[i])), block)
-                    src = srcs[i]
-                    np.copyto(dsts[i], block if src is None else block[src])
+            # One decode call for every miss: each kernel stack the codec
+            # reconstructs lands in one assignment through the grid.
+            source.decode(level, handles if cold else handles[missing], misses)
+        with obs_span("paste", blocks=n, hits=n - len(missing), stacks=grid.pasted[0]):
+            if not cold:
+                # The hits paste a quarter at a time, so gathering cached
+                # blocks never holds more than a quarter of the read beside it.
+                found = [i for i, block in enumerate(hits) if block is not None]
+                per = -(-len(found) // 4)
+                for lo in range(0, len(found), per):
+                    rows = found[lo : lo + per]
+                    grid[rows] = np.array([hits[i] for i in rows])
+            if cache is not None and missing:
+                cache.put_many(keys if cold else [keys[i] for i in missing], misses)
         _BLOCKS_HIT.inc(n - len(missing))
         _BLOCKS_DECODED.inc(len(missing))
+        if box != bbox:
+            dst = dst[tuple(slice(lo - b0, hi - b0) for (lo, hi), (b0, _) in zip(bbox, box))].copy()
         _READ_SECONDS.observe(time.perf_counter() - start)
-        return out, n, len(missing)
+        return dst, n, len(missing)
 
     @property
     def stats(self) -> Dict[str, int]:

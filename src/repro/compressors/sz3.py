@@ -38,9 +38,12 @@ that block's row and *reconstructs* one block; rows gathered from several
 payloads share a kernel call exactly as standalone payloads do.  The only
 per-block state below the entropy stage is the cursor into each block's
 exact values.  ``decompress_into`` keeps reconstructing inside the
-destination (``out[None]`` is a view).  A stack is bounded in decoded bytes
-(``_STACK_BYTES``), so peak memory does not grow with the number of blocks a
-caller hands over — and the same bound is the size of a stack payload.
+destination (``out[None]`` is a view), and a batch given one row-addressable
+destination hands it each reconstructed stack in a single assignment — the
+store's whole-level read pastes eight of them, not 4096 blocks, at unit 4.
+A stack is bounded in decoded bytes (``_STACK_BYTES``), so peak memory does
+not grow with the number of blocks a caller hands over — and the same bound
+is the size of a stack payload.
 """
 
 from __future__ import annotations
@@ -238,15 +241,21 @@ class SZ3Compressor(Compressor):
     def decompress_batch(
         self,
         items: Sequence[CompressedArray],
-        outs: Optional[Sequence[np.ndarray]] = None,
+        outs=None,
         srcs: Optional[Sequence] = None,
         slots: Optional[Sequence[Sequence[int]]] = None,
     ) -> Sequence[np.ndarray]:
+        """See :meth:`Compressor.decompress_batch`.  ``outs`` may also be one
+        row-addressable destination rather than a list of windows — an
+        ndarray, or anything that takes ``outs[rows] = stack`` and hands out
+        ``outs[k]`` — and then each reconstructed kernel stack reaches it in
+        **one** assignment instead of one copy per block."""
         if slots is None:
             slots = [None] * len(items)  # every payload whole, as one array
         # Item i's results are first[i]:first[i + 1] of the request.
         first = np.cumsum([0] + [1 if wanted is None else len(wanted) for wanted in slots]).tolist()
         results: List[Optional[np.ndarray]] = [None] * first[-1]
+        stacked = outs is not None and srcs is None and not isinstance(outs, (list, tuple))
 
         def deliver(k: int, block: np.ndarray) -> None:
             if outs is None:
@@ -276,6 +285,13 @@ class SZ3Compressor(Compressor):
             n_rows = sum(c.n_blocks if wanted is None else len(wanted) for c, wanted in parts)
             stack = np.empty((n_rows,) + items[lone].block_shape, dtype=np.float64)
             self._decode_stack(stack, parts)
+            if stacked:
+                rows = [k for i in call for k in range(first[i], first[i + 1])]
+                if rows[-1] - rows[0] == len(rows) - 1:
+                    rows = slice(rows[0], rows[-1] + 1)
+                result_shape = items[lone].shape if slots[lone] is None else stack.shape[1:]
+                outs[rows] = stack.reshape((-1,) + tuple(result_shape))
+                continue
             row = 0
             for i in call:
                 if slots[i] is None:

@@ -17,7 +17,10 @@ On the way in a request is payloads plus, from a container reader, the
 *slots* it wants out of each: every payload header is parsed once (each
 distinct one, for payloads that hold a single block and differ in
 ``n_unpredictable`` only), every payload inflated once, and the codec stacks
-the wanted blocks of payloads whose decode-relevant fields agree.
+the wanted blocks of payloads whose decode-relevant fields agree.  On the way
+out the blocks land in one destination — the ``(n, *unit)`` array a container
+read returns, which owns its memory, or a lazy view's block grid — one
+reconstructed kernel stack per assignment.
 """
 
 from __future__ import annotations
@@ -114,11 +117,13 @@ def decode_payloads_into(
     """Decode payload blobs straight into caller-preallocated destinations.
 
     ``outs[k]`` receives result *k* of :func:`decode_payloads` — restricted
-    to the ``srcs[k]`` source window when given (edge blocks paste only their
-    overlap).  Small blocks are reconstructed as a bounded stack and pasted,
-    a block too large to stack reconstructs inside its destination view, and
-    codecs without a batched kernel decode then copy, so the two entry
-    points are always bit-for-bit identical.
+    to the ``srcs[k]`` source window when given.  ``outs`` is either a list
+    of windows, each written alone, or one row-addressable destination (an
+    ndarray, or anything taking ``outs[rows] = stack``), which SZ3 fills one
+    reconstructed kernel stack per assignment.  A block too large to stack
+    reconstructs inside its destination view, and codecs without a batched
+    kernel decode then copy, so the two entry points are always bit-for-bit
+    identical.
     """
     _decode(payloads, outs, srcs, slots, counts)
 
@@ -132,7 +137,7 @@ def _decode(payloads, outs, srcs, slots, counts) -> List[np.ndarray]:
     results: List[np.ndarray] = []
     for codec, start, stop, items in _codec_runs(payloads, counts):
         lo, hi = first[start], first[stop]
-        # Sliced, not listified: the windows may be a lazy sequence.
+        # Sliced, not listified: the destination may be one block grid.
         decoded = codec.decompress_batch(
             items,
             None if outs is None else outs[lo:hi],

@@ -51,7 +51,7 @@ from repro.compressors.errors import DecompressionError
 from repro.core.partition import UnitBlockSet
 from repro.obs import REGISTRY
 from repro.obs import span as obs_span
-from repro.store.engine import decode_payloads, decode_payloads_into
+from repro.store.engine import decode_payloads_into
 from repro.store.index import RECORD_BYTES, BlockIndex
 from repro.store.query import BBox, coalesce_ranges
 from repro.utils.morton import morton_encode2d, morton_encode3d
@@ -524,47 +524,38 @@ class ContainerReader:
             self.stats["fetch_bytes"] += int((hi - lo).sum())
         return views
 
-    def decode_entries(self, positions: Sequence[int]) -> List[np.ndarray]:
+    def decode_entries(self, positions: Sequence[int], out=None):
         """Fetch and decode the blocks at the given index-entry positions.
 
         The batched decode primitive behind every query: positions come from
         :meth:`BlockIndex.select`; the distinct payloads they live in are each
         fetched once (coalesced, see :meth:`fetch_entries`) and inflated once,
         and only the blocks asked for are reconstructed, as one batch
-        (:func:`~repro.store.engine.decode_payloads`).  Lazy views
-        (:mod:`repro.array`) call this for exactly their cache misses.
+        (:func:`~repro.store.engine.decode_payloads_into`).  Lazy views
+        (:mod:`repro.array`) call this once per read, for exactly its cache
+        misses.
+
+        Returns the blocks as one ``(n, *unit)`` array that owns its memory —
+        or, given ``out``, writes block *i* to ``out[i]`` and returns ``out``.
+        ``out`` is an ``(n, *unit)`` array or any destination that takes
+        ``out[rows] = stack`` (a lazy view passes a block grid of its result),
+        and each reconstructed kernel stack reaches it in one assignment.
+        Positions need not be in file order, nor distinct.
         """
-        return self._decode(positions, None, None)
-
-    def decode_entries_into(
-        self,
-        positions: Sequence[int],
-        outs: Sequence[np.ndarray],
-        srcs: Optional[Sequence] = None,
-    ) -> None:
-        """Fetch and decode index entries straight into caller-owned buffers.
-
-        ``outs[i]`` receives the decoded block of ``positions[i]`` (restricted
-        to the ``srcs[i]`` source window when given) with no intermediate
-        block array on the supporting codecs — the zero-copy half of
-        :meth:`repro.array.CompressedArray.__getitem__`.
-        """
-        self._decode(positions, outs, srcs)
-
-    def _decode(self, positions, outs, srcs) -> List[np.ndarray]:
         positions = np.asarray(positions, dtype=np.int64)
         n = positions.shape[0]
+        if out is None:
+            out = np.empty((n,) + self._block_shape(positions), dtype=np.float64)
         if n == 0:
-            return []
+            return out
         index = self._index
-        # In file order the blocks of one payload are neighbours.
-        order = None
+        # In file order the blocks of one payload are neighbours; a request in
+        # another order decodes in file order, then lands in one scatter.
+        order, dest = None, out
         if (positions[1:] < positions[:-1]).any():
             order = np.argsort(positions, kind="stable")
             positions = positions[order]
-            if outs is not None:
-                outs = [outs[i] for i in order]
-                srcs = None if srcs is None else [srcs[i] for i in order]
+            dest = np.empty((n,) + self._block_shape(positions), dtype=np.float64)
         payload = index.payload_of[positions]
         cuts = np.flatnonzero(payload[1:] != payload[:-1]) + 1
         distinct = payload[np.concatenate(([0], cuts))]
@@ -574,19 +565,40 @@ class ContainerReader:
             self.stats["blocks_decoded"] += n
         counts = index.payload_counts[distinct]
         try:
-            with obs_span("decode", blocks=n, payloads=len(payloads), into=outs is not None):
-                if outs is not None:
-                    decode_payloads_into(payloads, outs, srcs, slots, counts)
-                    return []
-                blocks = decode_payloads(payloads, slots, counts)
+            with obs_span("decode", blocks=n, payloads=len(payloads)):
+                decode_payloads_into(payloads, dest, None, slots, counts)
         except DecompressionError as exc:
             raise DecompressionError(f"{self.path}: {exc}") from exc
-        if order is None:
-            return blocks
-        requested: List[np.ndarray] = [blocks[0]] * n
-        for k, i in enumerate(order.tolist()):
-            requested[i] = blocks[k]
-        return requested
+        if order is not None:
+            out[order] = dest
+        return out
+
+    def decode_entries_into(
+        self,
+        positions: Sequence[int],
+        outs: Sequence[np.ndarray],
+        srcs: Optional[Sequence] = None,
+    ) -> None:
+        """:meth:`decode_entries`, then block *i* (its ``srcs[i]`` window when
+        given) copied into ``outs[i]`` — for callers holding a list of
+        windows rather than one destination."""
+        blocks = self.decode_entries(positions)
+        for i, block in enumerate(blocks):
+            src = None if srcs is None else srcs[i]
+            np.copyto(outs[i], block if src is None else block[src])
+
+    def _block_shape(self, positions: np.ndarray) -> Tuple[int, ...]:
+        """The one block shape of the levels ``positions`` fall in."""
+        shapes = {
+            (info.unit_size,) * info.ndim
+            for info in map(self.level_info, np.unique(self._index.levels[positions]).tolist())
+        }
+        if len(shapes) > 1:
+            raise ValueError(
+                f"{self.path}: the positions span levels of block shapes {sorted(shapes)}; "
+                "decode one shape at a time"
+            )
+        return shapes.pop() if shapes else ()
 
     # -- queries --------------------------------------------------------------
     def read_blocks(self, level: int, region: Optional[BBox] = None) -> UnitBlockSet:
@@ -600,13 +612,12 @@ class ContainerReader:
         info = self.level_info(level)
         positions = self._index.select(info.level, info.ndim, region)
         coords = self._index.coords[positions, : info.ndim]
-        # Decoded straight into the stacked result: blocks[i] is outs[i].
+        # Decoded straight into the stacked result (shaped even when empty).
         blocks = np.empty(
             (len(positions),) + (info.unit_size,) * info.ndim, dtype=np.float64
         )
-        self.decode_entries_into(positions, blocks)
         return UnitBlockSet(
-            blocks=blocks,
+            blocks=self.decode_entries(positions, blocks),
             coords=coords.astype(np.int64),
             unit_size=info.unit_size,
             level_shape=info.level_shape,

@@ -8,6 +8,8 @@ were inflated.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.array import BlockCache, CompressedArray, as_lazy_array, compile_index, open_array
@@ -265,6 +267,99 @@ class TestBlockCache:
         assert stats["evictions"] == 60
         # Still bit-identical to an uncached read.
         assert np.array_equal(view[0:8, 0:8, 0:8], store.get("f", 0).as_array()[0:8, 0:8, 0:8])
+
+
+# One op of a cache workload: ("get", keys) or ("put", keys, cells per block).
+_KEYS = st.lists(st.integers(0, 9), min_size=0, max_size=14)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("get"), _KEYS),
+        st.tuples(st.just("put"), _KEYS, st.integers(1, 6)),
+    ),
+    max_size=12,
+)
+
+
+def _batch_block(key: int, serial: int, cells: int) -> np.ndarray:
+    return np.full(cells, key * 1000.0 + serial)
+
+
+class TestBlockCacheBatches:
+    """``get_many`` / ``put_many`` ≡ the loops of ``get`` / ``put`` they replace:
+    the same entries in the same LRU order, the same values and ``stats``."""
+
+    @staticmethod
+    def _assert_twins(batched: BlockCache, looped: BlockCache) -> None:
+        assert list(batched._entries) == list(looped._entries)
+        assert batched.stats == looped.stats
+        for key, block in looped._entries.items():
+            assert np.array_equal(batched._entries[key], block)
+            assert batched._entries[key].base is None  # owns its memory
+            assert not batched._entries[key].flags.writeable
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        max_blocks=st.integers(1, 6),
+        max_bytes=st.integers(8, 160),
+        warm=_KEYS,
+        ops=_OPS,
+    )
+    def test_batches_leave_what_the_loops_leave(self, max_blocks, max_bytes, warm, ops):
+        batched = BlockCache(max_blocks=max_blocks, max_bytes=max_bytes)
+        looped = BlockCache(max_blocks=max_blocks, max_bytes=max_bytes)
+        # Resident keys of another size, so byte and count bounds both bite.
+        for key in warm:
+            batched.put(("k", key), _batch_block(key, -1, 3))
+            looped.put(("k", key), _batch_block(key, -1, 3))
+        for serial, op in enumerate(ops):
+            keys = [("k", key) for key in op[1]]
+            if op[0] == "get":
+                got = batched.get_many(keys)
+                want = [looped.get(key) for key in keys]
+                assert [g is None for g in got] == [w is None for w in want]
+                for g, w in zip(got, want):
+                    assert w is None or np.array_equal(g, w)
+            else:
+                stack = np.stack([_batch_block(k, serial, op[2]) for k in op[1]] or [np.zeros(op[2])])
+                batched.put_many(keys, stack[: len(keys)])
+                for key, row in zip(keys, stack):
+                    looped.put(key, row.copy())
+                # The batch's own rows stay the caller's: nothing is a view of them.
+                assert stack.flags.writeable
+            self._assert_twins(batched, looped)
+
+    @pytest.mark.parametrize(
+        "max_blocks, max_bytes, keys",
+        [
+            (4, 1 << 20, list(range(10))),  # the count bound, a batch over capacity
+            (64, 3 * 24, list(range(10))),  # the byte bound
+            (4, 1 << 20, [1, 2, 1, 3, 1]),  # a key repeated inside one batch
+            (4, 1 << 20, [7, 8]),  # keys already resident
+            (2, 10, [0, 1]),  # every block larger than the byte bound
+        ],
+    )
+    def test_named_cases(self, max_blocks, max_bytes, keys):
+        batched = BlockCache(max_blocks=max_blocks, max_bytes=max_bytes)
+        looped = BlockCache(max_blocks=max_blocks, max_bytes=max_bytes)
+        for cache in (batched, looped):
+            cache.put(("k", 7), _batch_block(7, 0, 3))
+            cache.put(("k", 8), _batch_block(8, 0, 3))
+        stack = np.stack([_batch_block(k, 1, 3) for k in keys])
+        batched.put_many([("k", k) for k in keys], stack)
+        for k, row in zip(keys, stack):
+            looped.put(("k", k), row.copy())
+        self._assert_twins(batched, looped)
+
+    def test_put_many_copies_only_the_survivors(self, monkeypatch):
+        import repro.array.cache as cache_module
+
+        copies = []
+        owned = cache_module._owned
+        monkeypatch.setattr(cache_module, "_owned", lambda row: copies.append(1) or owned(row))
+        cache = BlockCache(max_blocks=5)
+        cache.put_many([("k", k) for k in range(100)], np.zeros((100, 4)))
+        assert len(copies) == 5 and len(cache) == 5
+        assert cache.stats["evictions"] == 95
 
 
 class TestAdaptersAndDeprecation:

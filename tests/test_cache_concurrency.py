@@ -114,6 +114,44 @@ class TestBlockCacheStorm:
         assert stats["evictions"] == 0
         assert stats["nbytes"] == n_keys * make_block(0).nbytes
 
+    def test_batches_beside_single_calls_under_interleaving(self):
+        # get_many / put_many from half the threads, get / put from the
+        # other half, on one small cache: caps hold at every sample, every
+        # returned block is its key's, and a batch's stored rows are copies.
+        max_blocks, max_bytes = 12, 12 * make_block(0).nbytes
+        cache = BlockCache(max_blocks=max_blocks, max_bytes=max_bytes)
+        violations: list = []
+
+        def worker(worker_id: int):
+            rng = default_rng(f"cache-batch-storm:{worker_id}")
+            for _ in range(150):
+                ids = [int(k) for k in rng.integers(0, 40, size=int(rng.integers(1, 20)))]
+                keys = [("batch", 0, k) for k in ids]
+                if worker_id % 2:
+                    if rng.random() < 0.5:
+                        found = cache.get_many(keys)
+                    else:
+                        cache.put_many(keys, np.stack([make_block(k) for k in ids]))
+                        found = []
+                else:
+                    found = [cache.get(keys[0])]
+                    cache.put(keys[-1], make_block(ids[-1]))
+                    keys = keys[:1]
+                for key, block in zip(keys, found):
+                    if block is not None and not (block == float(key[2])).all():
+                        violations.append(f"worker {worker_id}: torn read for {key}")
+                stats = cache.stats
+                if stats["size"] > max_blocks or (stats["nbytes"] > max_bytes and stats["size"] > 1):
+                    violations.append(f"cap exceeded: {stats}")
+
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            list(pool.map(worker, range(6)))
+
+        assert not violations, violations[:10]
+        stats = cache.stats
+        assert stats["size"] == len(cache) <= max_blocks
+        assert stats["nbytes"] == stats["bytes_resident"] == stats["size"] * make_block(0).nbytes
+
     def test_clear_keeps_lifetime_counters(self):
         cache = BlockCache(max_blocks=4)
         cache.put("a", make_block(1))

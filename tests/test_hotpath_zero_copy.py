@@ -139,6 +139,32 @@ class TestPeakMemory:
         # temporary would blow straight through this.
         assert peak <= full.nbytes * 1.25 + self.SLACK
 
+    def test_cached_cold_whole_level_read_allocates_output_cache_and_one_stack(self, big_store):
+        from repro.compressors.sz3 import _STACK_BYTES
+
+        view = open_array(big_store.root / big_store.entry("f", 0).path)
+        view[:16, :16, :16]
+        view.cache.clear()
+        full, peak = self._traced_peak(lambda: view[...])
+        cached = view.cache.stats
+        # Decoded stacks land in the output through its block grid; the cache
+        # keeps its own copy of each block; the one transient beyond those is
+        # the kernel stack being reconstructed.
+        assert cached["size"] == 216 and cached["bytes_resident"] == cached["nbytes"]
+        assert peak <= full.nbytes + cached["nbytes"] + _STACK_BYTES + self.SLACK
+
+    def test_read_off_the_block_grid_allocates_its_block_range_box_and_result(self, big_store):
+        """``[1:95]`` per axis touches every block, so the read assembles the
+        box of whole blocks covering it — the full 96^3 block range — and
+        crops that once: the peak is the box plus the result."""
+        view = open_array(big_store.root / big_store.entry("f", 0).path)
+        view.cache = None
+        view[:16, :16, :16]
+        out, peak = self._traced_peak(lambda: view[1:95, 1:95, 1:95])
+        box_nbytes = 96 ** 3 * 8
+        assert out.shape == (94, 94, 94)
+        assert peak <= box_nbytes + out.nbytes + self.SLACK
+
     def test_warm_remote_read_allocates_one_payload_per_side(self, big_store):
         from repro.serve import ReadDaemon, RemoteStore
 

@@ -129,6 +129,16 @@ def test_asarray_with_dtype(opened, reference):
     assert np.array_equal(out, reference.astype(np.float32))
 
 
+def test_asarray_copy_false_is_refused_because_materialising_allocates(opened, reference):
+    _, catalog = opened
+    view = catalog["f", 0]
+    with pytest.raises(ValueError, match="always copies"):
+        np.asarray(view, copy=False)
+    for copy in (None, True):
+        out = np.asarray(view, copy=copy)
+        assert out.shape == reference.shape and np.array_equal(out, reference)
+
+
 def test_scalar_selection_is_a_numpy_scalar(opened, reference):
     _, catalog = opened
     value = catalog["f", 0][3, 4, 5]
