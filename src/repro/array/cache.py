@@ -24,9 +24,9 @@ are new the survivors are simply the longest suffix of "resident entries, then
 the batch" that fits both bounds: a whole-level read through a 512-block cache
 copies 512 blocks, not 4096, and it copies them before taking the lock,
 because which rows of a batch survive depends on the batch alone.  A batch
-that repeats a key or names a resident one replays the loop itself, with row
-numbers standing in for the blocks until the survivors are known.  The cache
-stays per block either way: a one-block miss decodes and stores one block.
+that repeats a key or names a resident one — two readers missing the same
+block at once — is that loop, copying every row.  The cache stays per block
+either way: a one-block miss decodes and stores one block.
 """
 
 from __future__ import annotations
@@ -128,46 +128,39 @@ class BlockCache:
 
         ``blocks`` is row-addressable — an ``(n, *shape)`` array, or any
         sequence whose ``blocks[i]`` is such a row — and its rows share one
-        shape.  Each surviving row is copied into an array of its own, so an
-        entry pins exactly its ``nbytes`` whatever buffer the row came from.
+        shape.  A surviving row that is a view is copied into an array of its
+        own, so an entry pins exactly its ``nbytes`` whatever buffer the row
+        came from; one that owns its memory is stored as :meth:`put` stores
+        it, marked read-only.
         """
         keys = list(keys)
-        if not keys:
+        n = len(keys)
+        if not n:
             return
         size = int(blocks[0].nbytes)
         # When the keys are distinct and new, the survivors are the last
         # `fit` rows whatever is resident, so they are copied before the lock
         # is taken: a large batch does not stall concurrent gets.
-        fit = max(1, min(len(keys), self.max_blocks, self.max_bytes // size if size else len(keys)))
-        tail = [_owned(blocks[i]) for i in range(len(keys) - fit, len(keys))]
+        fit = max(1, min(n, self.max_blocks, self.max_bytes // size if size else n))
+        tail = [_owned(blocks[i]) for i in range(n - fit, n)]
         with self._lock:
             entries = self._entries
-            if len(set(keys)) == len(keys) and entries.keys().isdisjoint(keys):
-                for _ in range(len(entries) - self._resident_survivors(len(keys), size)):
+            if len(set(keys)) == n and entries.keys().isdisjoint(keys):
+                # Resident entries are older than every row, so the loop
+                # evicts them first: the oldest go until the rest fit beside
+                # the whole batch.
+                while entries and (
+                    len(entries) + n > self.max_blocks or self._nbytes + n * size > self.max_bytes
+                ):
                     self._evict_oldest()
-                self.evictions += len(keys) - fit
-                for key, block in zip(keys[len(keys) - fit :], tail):
+                self.evictions += n - fit
+                for key, block in zip(keys[n - fit :], tail):
                     self._link(key, block)
                 return
             for i, key in enumerate(keys):
-                self._insert(key, _Row(i, size))
-            for key, value in list(entries.items()):
-                if type(value) is _Row:
-                    entries[key] = _owned(blocks[value.row])  # in place: order kept
+                self._insert(key, _owned(blocks[i]))
 
-    def _resident_survivors(self, n_new: int, size: int) -> int:  # repro: holds(_lock)
-        """How many of the newest resident entries stay once ``n_new`` fresh
-        ``size``-byte blocks are put: the longest suffix that still fits."""
-        count, nbytes, kept = n_new, n_new * size, 0
-        for block in reversed(self._entries.values()):
-            count += 1
-            nbytes += block.nbytes
-            if count > self.max_blocks or nbytes > self.max_bytes:
-                break
-            kept += 1
-        return kept
-
-    def _insert(self, key: Hashable, block) -> None:  # repro: holds(_lock)
+    def _insert(self, key: Hashable, block: np.ndarray) -> None:  # repro: holds(_lock)
         """One :meth:`put`: replace, append as most recent, evict beyond capacity."""
         old = self._entries.pop(key, None)
         if old is not None:
@@ -179,7 +172,7 @@ class BlockCache:
         ):
             self._evict_oldest()
 
-    def _link(self, key: Hashable, block) -> None:  # repro: holds(_lock)
+    def _link(self, key: Hashable, block: np.ndarray) -> None:  # repro: holds(_lock)
         self._entries[key] = block
         self._nbytes += block.nbytes
         self._resident += self._resident_nbytes(block)
@@ -227,20 +220,8 @@ class BlockCache:
         )
 
 
-class _Row:
-    """Stand-in for row ``row`` of a :meth:`BlockCache.put_many` batch while
-    the loop it replays decides which rows stay; sized like the copy that
-    replaces it, which owns its memory."""
-
-    __slots__ = ("row", "nbytes")
-    base = None
-
-    def __init__(self, row: int, nbytes: int) -> None:
-        self.row = row
-        self.nbytes = nbytes
-
-
 def _owned(row: np.ndarray) -> np.ndarray:
-    block = np.array(row)  # a copy: entries never share a buffer
+    # Entries never share a buffer: a view is copied.
+    block = row if row.base is None else np.array(row)
     block.flags.writeable = False
     return block

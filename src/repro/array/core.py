@@ -21,15 +21,16 @@ arithmetic every store query uses (:mod:`repro.store.query`), decodes **only
 the intersecting blocks** and consults a bounded
 :class:`~repro.array.cache.BlockCache` so revisited blocks decode once.  A
 read moves stacks, not blocks: one ``get_many`` for all its blocks, one
-``decode`` call for all its misses, one ``put_many``, and every block lands
-through a *block-grid view* of the destination — ``dst.reshape(g0, e0, g1, e1,
-...)`` with the block axes moved first, so block ``(i, j, ...)`` of the read
-is ``[i, j, ...]`` — and the hits and each kernel stack the codec
-reconstructs paste in one advanced-index assignment each.  The destination
-is the result itself when the bbox lies on the block grid, and otherwise a
-scratch array covering the intersecting blocks whole, cropped once.  The
-served families (:mod:`repro.serve`, :mod:`repro.gateway`) ship the selector
-instead, and the daemon at the far end hands it to a :class:`CompressedArray`.
+``decode`` call for all its misses, one ``put_many``.  Every block the read
+covers whole lands through a *block-grid view* of the result —
+``window.reshape(g0, e0, g1, e1, ...)`` with the block axes moved first, so
+block ``(i, j, ...)`` of the window is ``[i, j, ...]`` — and the hits and
+each kernel stack the codec reconstructs paste in one advanced-index
+assignment each; a block on the edge of a bbox off the block grid pastes
+only its overlap, so a read allocates nothing block-sized beyond its result
+and what the cache keeps.  The served families (:mod:`repro.serve`,
+:mod:`repro.gateway`) ship the selector instead, and the daemon at the far
+end hands it to a :class:`CompressedArray`.
 
 The local view is source-agnostic: a :class:`ContainerSource` serves ``.rps2``
 block containers (and, via :class:`repro.store.Store`, whole stores), while a
@@ -49,7 +50,8 @@ Block sources implement a small duck-typed protocol::
     stats                -> dict of decode counters
 
 ``out`` is row-addressable: ``out[rows] = stack`` takes many blocks in one
-assignment and ``out[i]`` is a writable view of one.
+assignment, and ``out[i]`` is a writable view of one, filled before the next
+is asked for.
 """
 
 from __future__ import annotations
@@ -66,7 +68,13 @@ from repro.array.cache import BlockCache
 from repro.array.indexing import compile_index
 from repro.obs import REGISTRY
 from repro.obs import span as obs_span
-from repro.store.query import BBox, normalize_bbox
+from repro.store.query import (
+    BBox,
+    bbox_to_block_range,
+    blocks_in_range,
+    normalize_bbox,
+    paste_slices,
+)
 
 #: Where a read's blocks came from: served from the block cache or decoded.
 _READ_BLOCKS = REGISTRY.counter(
@@ -119,8 +127,7 @@ class ContainerSource:
         return self.reader.level_info(level).unit_size
 
     def block_shape(self, level: int) -> Tuple[int, ...]:
-        info = self.reader.level_info(level)
-        return (info.unit_size,) * info.ndim
+        return self.reader.level_info(level).block_shape
 
     def intersecting(
         self, level: int, block_range: Optional[BBox] = None
@@ -192,43 +199,123 @@ class SingleBlockSource:
 
 
 class _BlockGrid:
-    """The blocks of one read as rows of a block-grid view of its destination.
+    """The blocks of one read as rows addressed into its result.
 
-    ``dst`` — a box made of whole blocks of extents ``(e0, e1, ...)`` — is
-    viewed as ``dst.reshape(g0, e0, g1, e1, ...)`` with the block axes moved
-    first, ``(g0, g1, ..., e0, e1, ...)``, and row ``r`` is the block at
-    box-relative block coordinate ``coords[r]``.  ``grid[rows] = stack`` is one
-    advanced-index assignment however many rows, ``grid[r]`` a writable view
-    of one block, ``grid[sel]`` the rows ``sel`` as another grid over the same
-    view; ``pasted[0]`` counts the assignments, shared across those grids.
+    Row ``r`` is the block at level block coordinate ``coords[r]``.  A block
+    wholly inside the result lies in a *block-grid view* of the window the
+    whole blocks cover — ``window.reshape(g0, e0, g1, e1, ...)`` with the
+    block axes moved first — so ``grid[rows] = stack`` pastes all such rows in
+    one advanced-index assignment.  An edge block pastes only its overlap,
+    cropped from the block it arrives as, so a read off the block grid
+    allocates nothing block-sized beyond its result.
+
+    ``grid[r]`` is a writable view of block ``r``; for an edge block that is
+    a one-block scratch, pasted when the next one is asked for or at
+    :meth:`flush` (decoders fill the views they ask for one at a time).  A
+    grid told to :meth:`keep` holds each edge block it receives as an array
+    of its own, so ``grid[r]`` hands every block back whole afterwards — what
+    a cache stores.  ``grid[sel]`` is the rows ``sel`` as another grid over
+    the same result; ``pasted[0]`` counts the assignments across all of them.
     """
 
-    __slots__ = ("_blocks", "_coords", "pasted")
+    __slots__ = (
+        "_out",
+        "_shape",
+        "_blocks",
+        "_coords",
+        "_edges",
+        "_full",
+        "_rows",
+        "_kept",
+        "_pending",
+        "pasted",
+    )
 
-    def __init__(self, blocks: np.ndarray, coords: np.ndarray, pasted: List[int]) -> None:
-        self._blocks = blocks
-        self._coords = coords
-        self.pasted = pasted
-
-    @classmethod
-    def over(cls, dst: np.ndarray, extents: Sequence[int], coords: np.ndarray) -> "_BlockGrid":
+    def __init__(
+        self, out: np.ndarray, bbox: BBox, extents: Sequence[int], coords: np.ndarray
+    ) -> None:
+        # The block range whole blocks cover: its window of ``out`` is the grid.
+        inner = [(-(-lo // e), max(-(-lo // e), hi // e)) for (lo, hi), e in zip(bbox, extents)]
+        cover = (slice(b0 * e - lo, b1 * e - lo) for (b0, b1), e, (lo, _) in zip(inner, extents, bbox))
+        window = out[(*cover, Ellipsis)]
+        self._full = blocks_in_range(coords, inner)
+        edges = np.flatnonzero(~self._full).tolist()
+        # Each edge block's (destination, source) overlap.
+        self._edges = {
+            row: paste_slices(coord, extents, bbox)
+            for row, coord in zip(edges, coords[edges].tolist())
+        }
         ndim = len(extents)
-        interleaved = [n for size, e in zip(dst.shape, extents) for n in (size // e, e)]
+        split = [n for (b0, b1), e in zip(inner, extents) for n in (b1 - b0, e)]
         axes = tuple(range(0, 2 * ndim, 2)) + tuple(range(1, 2 * ndim, 2))
-        return cls(dst.reshape(interleaved).transpose(axes), coords, [0])
+        self._out, self._shape = out, tuple(extents)
+        self._blocks = window.reshape(split).transpose(axes)
+        self._coords = coords - [b0 for b0, _ in inner]
+        self._rows = np.arange(len(coords))
+        self._kept: Optional[Dict[int, np.ndarray]] = None
+        self._pending: List = [None]
+        self.pasted = [0]
 
     def __len__(self) -> int:
-        return len(self._coords)
+        return len(self._rows)
 
     def __getitem__(self, rows):
-        if isinstance(rows, (int, np.integer)):
+        if not isinstance(rows, (int, np.integer)):
+            sub = _clone(self)
+            sub._rows = self._rows[rows]
+            return sub
+        row = int(self._rows[rows])
+        if self._full[row]:
             # The ellipsis keeps a 0-d domain's block a view, not a scalar.
-            return self._blocks[(*self._coords[rows].tolist(), Ellipsis)]
-        return _BlockGrid(self._blocks, self._coords[rows], self.pasted)
+            return self._blocks[(*self._coords[row].tolist(), Ellipsis)]
+        if self._kept is not None and row in self._kept:
+            return self._kept[row]
+        self.flush()
+        block = np.empty(self._shape)
+        self._pending[0] = (row, block)
+        if self._kept is not None:
+            self._kept[row] = block
+        return block
 
     def __setitem__(self, rows, stack) -> None:
-        self._blocks[(*self._coords[rows].T, Ellipsis)] = stack
+        """Paste ``stack[j]`` as block ``rows[j]``: an ``(n, *extents)``
+        array, or a list of blocks — gathered a quarter at a time, so
+        gathering never holds more than a quarter of them beside the result."""
+        if isinstance(rows, (int, np.integer)):
+            rows, stack = [rows], (stack,)
+        rows = self._rows[rows]
+        full = self._full[rows]
+        if isinstance(stack, np.ndarray) and full.all():
+            self._blocks[(*self._coords[rows].T, Ellipsis)] = stack
+        else:
+            inner = np.flatnonzero(full)
+            stacked = isinstance(stack, np.ndarray)
+            per = max(1, len(inner) if stacked else -(-len(inner) // 4))
+            for lo in range(0, len(inner), per):
+                part = inner[lo : lo + per]
+                whole = stack[part] if stacked else [stack[j] for j in part]
+                self._blocks[(*self._coords[rows[part]].T, Ellipsis)] = whole
+            for j in np.flatnonzero(~full).tolist():
+                row, block = int(rows[j]), stack[j]
+                if self._kept is not None:
+                    # An array of its own, not a view pinning the whole stack.
+                    block = self._kept[row] = np.array(block)
+                self._paste_edge(row, block)
         self.pasted[0] += 1
+
+    def keep(self) -> None:
+        """Hold every edge block these rows receive from now on."""
+        self._kept = {}
+
+    def flush(self) -> None:
+        """Paste the edge block last handed out as a view."""
+        pending, self._pending[0] = self._pending[0], None
+        if pending is not None:
+            self._paste_edge(*pending)
+
+    def _paste_edge(self, row: int, block: np.ndarray) -> None:
+        dst, src = self._edges[row]
+        self._out[dst] = block[src]
 
 
 def describe_geometry(described: Mapping[str, Any]) -> Geometry:
@@ -428,16 +515,13 @@ class CompressedArray(LazyArray):
         start = time.perf_counter()
         source, level, cache = self._source, self._level, self.cache
         extents = source.block_shape(level)
-        block_range = tuple((lo // e, -(-hi // e)) for (lo, hi), e in zip(bbox, extents))
-        handles, coords = source.intersecting(level, block_range)
+        handles, coords = source.intersecting(level, bbox_to_block_range(bbox, extents))
+        out = np.full(tuple(hi - lo for lo, hi in bbox), self.fill_value, dtype=np.float64)
         n = len(handles)
         if not n:
             _READ_SECONDS.observe(time.perf_counter() - start)
-            return np.full(tuple(hi - lo for lo, hi in bbox), self.fill_value), 0, 0
-        # The box of whole blocks covering the bbox: every block pastes whole.
-        box = tuple((b0 * e, b1 * e) for (b0, b1), e in zip(block_range, extents))
-        dst = np.full(tuple(hi - lo for lo, hi in box), self.fill_value, dtype=np.float64)
-        grid = _BlockGrid.over(dst, extents, coords - [b0 for b0, _ in block_range])
+            return out, 0, 0
+        grid = _BlockGrid(out, bbox, extents, coords)
         keys: List = []
         hits: List = [None] * n
         if cache is not None:
@@ -446,28 +530,24 @@ class CompressedArray(LazyArray):
         missing = [i for i, block in enumerate(hits) if block is None]
         # A read that hits nothing (every cold one) decodes into the whole grid.
         cold = len(missing) == n
-        misses = grid if cold else grid[missing]
         if missing:
+            misses = grid if cold else grid[missing]
+            if cache is not None:
+                misses.keep()
             # One decode call for every miss: each kernel stack the codec
             # reconstructs lands in one assignment through the grid.
             source.decode(level, handles if cold else handles[missing], misses)
+            grid.flush()
         with obs_span("paste", blocks=n, hits=n - len(missing), stacks=grid.pasted[0]):
             if not cold:
-                # The hits paste a quarter at a time, so gathering cached
-                # blocks never holds more than a quarter of the read beside it.
                 found = [i for i, block in enumerate(hits) if block is not None]
-                per = -(-len(found) // 4)
-                for lo in range(0, len(found), per):
-                    rows = found[lo : lo + per]
-                    grid[rows] = np.array([hits[i] for i in rows])
+                grid[found] = [hits[i] for i in found]
             if cache is not None and missing:
                 cache.put_many(keys if cold else [keys[i] for i in missing], misses)
         _BLOCKS_HIT.inc(n - len(missing))
         _BLOCKS_DECODED.inc(len(missing))
-        if box != bbox:
-            dst = dst[tuple(slice(lo - b0, hi - b0) for (lo, hi), (b0, _) in zip(bbox, box))].copy()
         _READ_SECONDS.observe(time.perf_counter() - start)
-        return dst, n, len(missing)
+        return out, n, len(missing)
 
     @property
     def stats(self) -> Dict[str, int]:

@@ -211,6 +211,11 @@ class LevelInfo:
     def ndim(self) -> int:
         return len(self.level_shape)
 
+    @property
+    def block_shape(self) -> Tuple[int, ...]:
+        """Shape of one decoded unit block of this level."""
+        return (int(self.unit_size),) * self.ndim
+
 
 def write_container(
     path: Union[str, Path],
@@ -536,26 +541,38 @@ class ContainerReader:
         misses.
 
         Returns the blocks as one ``(n, *unit)`` array that owns its memory —
-        or, given ``out``, writes block *i* to ``out[i]`` and returns ``out``.
-        ``out`` is an ``(n, *unit)`` array or any destination that takes
+        a list of one array per block when the positions span levels of
+        different block shapes — or, given ``out``, writes block *i* to
+        ``out[i]`` and returns ``out``.  ``out`` is an ``(n, *unit)`` array,
+        a list of per-block arrays, or any destination that takes
         ``out[rows] = stack`` (a lazy view passes a block grid of its result),
-        and each reconstructed kernel stack reaches it in one assignment.
-        Positions need not be in file order, nor distinct.
+        and each reconstructed kernel stack reaches a destination that is not
+        a list in one assignment.  Positions need not be in file order, nor
+        distinct.
         """
         positions = np.asarray(positions, dtype=np.int64)
         n = positions.shape[0]
         if out is None:
-            out = np.empty((n,) + self._block_shape(positions), dtype=np.float64)
+            levels = self._index.levels[positions]
+            shapes = {lvl: self.level_info(lvl).block_shape for lvl in np.unique(levels).tolist()}
+            if len(set(shapes.values())) > 1:
+                out = [np.empty(shapes[lvl], dtype=np.float64) for lvl in levels.tolist()]
+            else:
+                out = np.empty((n,) + next(iter(shapes.values()), ()), dtype=np.float64)
         if n == 0:
             return out
         index = self._index
         # In file order the blocks of one payload are neighbours; a request in
-        # another order decodes in file order, then lands in one scatter.
+        # another order decodes in file order — into the same list of arrays,
+        # or into a stack that then lands in one scatter.
         order, dest = None, out
         if (positions[1:] < positions[:-1]).any():
             order = np.argsort(positions, kind="stable")
             positions = positions[order]
-            dest = np.empty((n,) + self._block_shape(positions), dtype=np.float64)
+            if isinstance(out, list):
+                order, dest = None, [out[i] for i in order.tolist()]
+            else:
+                dest = np.empty((n,) + self.level_info(int(index.levels[positions[0]])).block_shape)
         payload = index.payload_of[positions]
         cuts = np.flatnonzero(payload[1:] != payload[:-1]) + 1
         distinct = payload[np.concatenate(([0], cuts))]
@@ -587,19 +604,6 @@ class ContainerReader:
             src = None if srcs is None else srcs[i]
             np.copyto(outs[i], block if src is None else block[src])
 
-    def _block_shape(self, positions: np.ndarray) -> Tuple[int, ...]:
-        """The one block shape of the levels ``positions`` fall in."""
-        shapes = {
-            (info.unit_size,) * info.ndim
-            for info in map(self.level_info, np.unique(self._index.levels[positions]).tolist())
-        }
-        if len(shapes) > 1:
-            raise ValueError(
-                f"{self.path}: the positions span levels of block shapes {sorted(shapes)}; "
-                "decode one shape at a time"
-            )
-        return shapes.pop() if shapes else ()
-
     # -- queries --------------------------------------------------------------
     def read_blocks(self, level: int, region: Optional[BBox] = None) -> UnitBlockSet:
         """Decode the blocks of one level, optionally restricted to a region.
@@ -613,9 +617,7 @@ class ContainerReader:
         positions = self._index.select(info.level, info.ndim, region)
         coords = self._index.coords[positions, : info.ndim]
         # Decoded straight into the stacked result (shaped even when empty).
-        blocks = np.empty(
-            (len(positions),) + (info.unit_size,) * info.ndim, dtype=np.float64
-        )
+        blocks = np.empty((len(positions),) + info.block_shape, dtype=np.float64)
         return UnitBlockSet(
             blocks=self.decode_entries(positions, blocks),
             coords=coords.astype(np.int64),

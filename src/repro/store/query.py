@@ -65,10 +65,22 @@ def normalize_bbox(bbox: Sequence[Sequence[int]], shape: Sequence[int]) -> BBox:
     return tuple(out)
 
 
-def bbox_to_block_range(bbox: BBox, unit_size: int) -> BBox:
-    """Half-open unit-block coordinate range covering a cell-space bbox."""
-    u = int(unit_size)
-    return tuple((lo // u, -(-hi // u)) for lo, hi in bbox)
+def _extents(unit_size, ndim: int) -> Tuple[int, ...]:
+    """A block's per-axis extents: ``unit_size`` is one for every axis or one
+    per axis (a block shaped like a whole domain)."""
+    if isinstance(unit_size, (int, np.integer)):
+        return (int(unit_size),) * ndim
+    return tuple(unit_size)
+
+
+def bbox_to_block_range(bbox: BBox, unit_size) -> BBox:
+    """Half-open unit-block coordinate range covering a cell-space bbox.
+
+    ``unit_size`` is the block extent on every axis, or one extent per axis.
+    """
+    return tuple(
+        (lo // e, -(-hi // e)) for (lo, hi), e in zip(bbox, _extents(unit_size, len(bbox)))
+    )
 
 
 def blocks_in_range(coords: np.ndarray, block_range: BBox) -> np.ndarray:
@@ -87,17 +99,17 @@ def block_cell_slices(coord: Sequence[int], unit_size: int) -> Tuple[slice, ...]
 
 
 def paste_slices(
-    coord: Sequence[int], unit_size: int, bbox: BBox
+    coord: Sequence[int], unit_size, bbox: BBox
 ) -> Tuple[Tuple[slice, ...], Tuple[slice, ...]]:
     """Destination (bbox-relative) and source (block-relative) paste slices.
 
     For a block at ``coord`` intersecting ``bbox``, returns the slice pair
     such that ``out[dst] = block[src]`` copies exactly the overlapping cells
-    into an output array shaped like the bbox.
+    into an output array shaped like the bbox.  ``unit_size`` is the block
+    extent on every axis, or one extent per axis.
     """
-    u = int(unit_size)
     dst, src = [], []
-    for c, (lo, hi) in zip(coord, bbox):
+    for c, u, (lo, hi) in zip(coord, _extents(unit_size, len(bbox)), bbox):
         start = int(c) * u
         a = max(start, lo)
         b = min(start + u, hi)
@@ -116,8 +128,7 @@ def paste_slices_batch(
     start, ``[..., 1]`` the stop of each axis slice) and ``full`` is a
     boolean mask marking blocks whose source window covers the whole unit
     block — the blocks a decoder may write straight into the destination.
-    One NumPy call per bound instead of a Python loop per block: this is the
-    batch planner behind :meth:`repro.array.CompressedArray.__getitem__`.
+    One NumPy call per bound instead of a Python loop per block.
     """
     coords = np.asarray(coords, dtype=np.int64)
     n = coords.shape[0]

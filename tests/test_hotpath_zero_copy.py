@@ -153,17 +153,38 @@ class TestPeakMemory:
         assert cached["size"] == 216 and cached["bytes_resident"] == cached["nbytes"]
         assert peak <= full.nbytes + cached["nbytes"] + _STACK_BYTES + self.SLACK
 
-    def test_read_off_the_block_grid_allocates_its_block_range_box_and_result(self, big_store):
-        """``[1:95]`` per axis touches every block, so the read assembles the
-        box of whole blocks covering it — the full 96^3 block range — and
-        crops that once: the peak is the box plus the result."""
+    @pytest.mark.parametrize(
+        "off_grid, aligned",
+        [
+            ((5,), (slice(0, 16),)),  # one plane of a layer of blocks
+            ((slice(1, 95),) * 3, (Ellipsis,)),  # every block, none of them whole
+        ],
+        ids=["plane", "near-full"],
+    )
+    def test_read_off_the_block_grid_allocates_no_block_range_scratch(
+        self, big_store, off_grid, aligned
+    ):
+        """A read off the block grid decodes the same blocks as the aligned
+        read of the block range covering it and allocates nothing more
+        beside its own, smaller result: edge blocks paste their overlap
+        straight from the decoded stack, so no box of whole blocks is
+        assembled (at unit 16 a plane's box is 16 planes).  With a cache,
+        the one addition is the cache's own copy of each block."""
+        from repro.compressors.sz3 import _STACK_BYTES
+
         view = open_array(big_store.root / big_store.entry("f", 0).path)
-        view.cache = None
+        cache, view.cache = view.cache, None
         view[:16, :16, :16]
-        out, peak = self._traced_peak(lambda: view[1:95, 1:95, 1:95])
-        box_nbytes = 96 ** 3 * 8
-        assert out.shape == (94, 94, 94)
-        assert peak <= box_nbytes + out.nbytes + self.SLACK
+        cover, cover_peak = self._traced_peak(lambda: view[aligned])
+        out, peak = self._traced_peak(lambda: view[off_grid])
+        assert peak - out.nbytes <= cover_peak - cover.nbytes + _STACK_BYTES
+        view.cache = cache
+        cache.clear()
+        cached_out, cached_peak = self._traced_peak(lambda: view[off_grid])
+        assert np.array_equal(cached_out, out)
+        stats = cache.stats
+        assert stats["bytes_resident"] == stats["nbytes"]
+        assert cached_peak <= peak + stats["nbytes"] + _STACK_BYTES
 
     def test_warm_remote_read_allocates_one_payload_per_side(self, big_store):
         from repro.serve import ReadDaemon, RemoteStore

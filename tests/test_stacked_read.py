@@ -10,8 +10,9 @@ with the view's ``fill_value`` — and every read must equal it bit for bit:
 
 * units 4, 8 and 16; 2-D and 3-D levels; both levels of a masked two-level
   hierarchy; a level whose block count is not a multiple of the kernel stack;
-  a hand-built container whose edge blocks overhang the domain; and a
-  ``SingleBlockSource``, whose one block is shaped like a non-cubic domain;
+  a hand-built container whose edge blocks overhang the domain; a ZFP level,
+  whose codec fills one block view at a time instead of pasting stacks; and
+  a ``SingleBlockSource``, whose one block is shaped like a non-cubic domain;
 * through the store's block cache, a 3-block cache and no cache, each cold,
   warm and half-warm;
 * 200 seeded selections per level: steps (reversed too), negative integers,
@@ -97,6 +98,9 @@ def levels(tmp_path_factory):
         store = Store(root / name, MultiResolutionCompressor(unit_size=unit))
         store.append("f", 0, _field(shape, name), EB)
         cases[name] = (store, store.get("f", 0), 0)
+    store = Store(root / "zfp", MultiResolutionCompressor(compressor="zfp", unit_size=8))
+    store.append("f", 0, _field((24, 16, 32), "zfp"), EB)
+    cases["zfp-u8-3d"] = (store, store.get("f", 0), 0)
     hierarchy = build_hierarchy_from_uniform(
         _field((32, 32, 32), "amr"), n_levels=2, block_size=8, fractions=[0.25, 0.75]
     )
@@ -173,7 +177,16 @@ def _prepare(view, state: str) -> None:
 @pytest.mark.parametrize("cache_kind", CACHES)
 @pytest.mark.parametrize(
     "case",
-    ["u4-3d", "u8-2d", "u16-3d", "u16-2d", "amr-u8-level0", "amr-u8-level1", "overhang-u4"],
+    [
+        "u4-3d",
+        "u8-2d",
+        "u16-3d",
+        "u16-2d",
+        "amr-u8-level0",
+        "amr-u8-level1",
+        "overhang-u4",
+        "zfp-u8-3d",
+    ],
 )
 def test_every_read_equals_the_block_by_block_reference(levels, case, cache_kind):
     store, reader, level = levels[case]
@@ -206,6 +219,32 @@ def test_a_warm_read_decodes_nothing_and_a_half_warm_read_only_the_rest(levels):
     assert np.array_equal(view[...], whole)
     assert reader.stats["blocks_decoded"] == decoded
     assert np.array_equal(whole, _reference(reader, level))
+
+
+def test_decode_entries_over_levels_of_different_block_shapes_returns_one_array_per_block(
+    tmp_path,
+):
+    """A coarse level smaller than the unit is stored at a clamped unit, so
+    positions spanning levels need not share a block shape: the blocks come
+    back as a list, each equal to its own level's decode, in request order."""
+    hierarchy = build_hierarchy_from_uniform(
+        _field((32, 32, 32), "mixed"), n_levels=3, block_size=8, fractions=[0.25, 0.25, 0.5]
+    )
+    store = Store(tmp_path, MultiResolutionCompressor(unit_size=16))
+    store.append("f", 0, hierarchy, EB)
+    reader = store.get("f", 0)
+    assert [info.block_shape for info in reader.levels] == [(16,) * 3, (16,) * 3, (8,) * 3]
+    by_level = {
+        info.level: reader.decode_entries(reader.index.select(info.level, 3))
+        for info in reader.levels
+    }
+    want = [block for blocks in by_level.values() for block in blocks]
+    positions = np.arange(reader.n_blocks)
+    for order in (positions, positions[::-1]):
+        got = reader.decode_entries(order)
+        assert isinstance(got, list) and len(got) == len(want)
+        for block, i in zip(got, order.tolist()):
+            assert np.array_equal(block, want[i])
 
 
 @pytest.mark.parametrize("cached", [False, True])

@@ -80,6 +80,10 @@ class TestBlockRange:
     def test_unit_one(self):
         assert bbox_to_block_range(((3, 9),), 1) == ((3, 9),)
 
+    def test_per_axis_extents(self):
+        # A block shaped like a non-cubic domain has one extent per axis.
+        assert bbox_to_block_range(((3, 9), (7, 8)), (4, 8)) == ((0, 3), (0, 1))
+
 
 class TestBlocksInRange:
     def test_selects_inside_half_open(self):
@@ -95,6 +99,11 @@ class TestBlocksInRange:
 class TestSlices:
     def test_block_cell_slices(self):
         assert block_cell_slices((2, 0), 8) == (slice(16, 24), slice(0, 8))
+
+    def test_paste_slices_per_axis_extents(self):
+        dst, src = paste_slices((1, 0), (4, 8), ((3, 9), (7, 8)))
+        assert dst == (slice(1, 5), slice(0, 1))
+        assert src == (slice(0, 4), slice(7, 8))
 
     @pytest.mark.parametrize(
         "coord,bbox",
